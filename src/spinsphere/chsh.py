@@ -94,6 +94,7 @@ class OptimizerConfig:
 
 class VarianceBound(NamedTuple):
     idealized: float
+    corrected: float
     finite_n: float
 
 
@@ -120,14 +121,19 @@ def monte_carlo_correlator(trials):
     return correlator
 
 
+def _string(correlator, a, a_prime, b, b_prime) -> float:
+    """E(a,b) + E(a,b') + E(a',b) - E(a',b'); every CHSH evaluation sums here."""
+    return (
+        correlator(a, b)
+        + correlator(a, b_prime)
+        + correlator(a_prime, b)
+        - correlator(a_prime, b_prime)
+    )
+
+
 def chsh_string(config: ChshConfig, correlator) -> float:
     """E(a,b) + E(a,b') + E(a',b) - E(a',b')."""
-    return (
-        correlator(config.a, config.b)
-        + correlator(config.a, config.b_prime)
-        + correlator(config.a_prime, config.b)
-        - correlator(config.a_prime, config.b_prime)
-    )
+    return _string(correlator, config.a, config.a_prime, config.b, config.b_prime)
 
 
 def commutator_torsion(a, a_prime, lam: int):
@@ -147,20 +153,26 @@ def variance_rhs(a, a_prime, b, b_prime, trials=None) -> VarianceBound:
     """Variance-chain right side for a quadruple of settings.
 
     idealized: 2 sqrt(1 - (a x a') . (b' x b)), the infinite-ensemble
-    expression.  finite_n keeps the mean-orientation term: the leftover
-    is a bivector whose scalar coefficient is |(a x a') x (b' x b)|,
-    weighted by mean(lam) over the supplied trials.  Only the idealized
-    value is a candidate bound; the finite-n value is reported, never
-    asserted against the string.
+    expression as printed.  corrected: 2 sqrt(1 + (a x a') . (b' x b)),
+    the same chain with the cross-product orientation of the singlet
+    identity <S^2> = 4 - 4 (a x a') . (b x b'); it is the form that bounds
+    |CHSH| for the cosine correlator (see DECISIONS.md).  finite_n keeps
+    the mean-orientation term: the leftover is a bivector whose scalar
+    coefficient is |(a x a') x (b' x b)|, weighted by mean(lam) over the
+    supplied trials.  The finite-n value is reported, never asserted
+    against the string.
     """
     cross_a = np.cross(np.asarray(a, float), np.asarray(a_prime, float))
     cross_b = np.cross(np.asarray(b_prime, float), np.asarray(b, float))
     dot = float(np.dot(cross_a, cross_b))
     idealized = 2.0 * np.sqrt(max(0.0, 1.0 - dot))
+    corrected = 2.0 * np.sqrt(max(0.0, 1.0 + dot))
     lam_mean = 0.0 if trials is None else float(np.mean(trials.lam))
     coeff = float(np.linalg.norm(np.cross(cross_a, cross_b)))
     finite = np.sqrt(max(0.0, 4.0 - 4.0 * dot - 4.0 * lam_mean * coeff))
-    return VarianceBound(idealized=float(idealized), finite_n=float(finite))
+    return VarianceBound(
+        idealized=float(idealized), corrected=float(corrected), finite_n=float(finite)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -219,18 +231,15 @@ def _coplanar_grid_max(table: np.ndarray):
     return best
 
 
-def _angles_chsh(correlator, angles_rad, budget: _Budget) -> float:
-    budget.spend(4)
-    a, ap, b, bp = (_planar_direction(t) for t in angles_rad)
-    return (
-        correlator(a, b) + correlator(a, bp) + correlator(ap, b) - correlator(ap, bp)
-    )
-
-
 def _coordinate_descent(correlator, angles_rad, tol_rad: float, budget: _Budget):
     """Shrinking-step descent on the three free coplanar angles."""
+
+    def abs_string(angles):
+        budget.spend(4)
+        return abs(_string(correlator, *(_planar_direction(t) for t in angles)))
+
     angles = np.array(angles_rad, float)
-    value = abs(_angles_chsh(correlator, angles, budget))
+    value = abs_string(angles)
     step = np.radians(0.5)
     while step >= tol_rad:
         improved = True
@@ -240,7 +249,7 @@ def _coordinate_descent(correlator, angles_rad, tol_rad: float, budget: _Budget)
                 for sign in (1.0, -1.0):
                     trial = angles.copy()
                     trial[k] += sign * step
-                    trial_value = abs(_angles_chsh(correlator, trial, budget))
+                    trial_value = abs_string(trial)
                     if trial_value > value + 1e-15:
                         angles, value = trial, trial_value
                         improved = True
@@ -273,14 +282,8 @@ def _random_restart_guard(correlator, coplanar_value, restarts, seed, budget):
         return out
 
     def negative_abs(params):
-        a, ap, b, bp = to_directions(params)
         budget.spend(4)
-        return -abs(
-            correlator(a, b)
-            + correlator(a, bp)
-            + correlator(ap, b)
-            - correlator(ap, bp)
-        )
+        return -abs(_string(correlator, *to_directions(params)))
 
     best_value, best_directions = -np.inf, None
     for _ in range(int(restarts)):

@@ -73,17 +73,9 @@ def _tabular(rows, columns, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _grid_degrees(args) -> np.ndarray:
-    if args.step <= 0:
-        raise InvalidConfig("--step must be positive")
-    if args.start > args.stop:
-        raise InvalidConfig("--start must not exceed --stop")
-    return np.arange(args.start, args.stop + args.step * 0.5, args.step)
-
-
 def cmd_distances(args) -> int:
     rows = []
-    for deg in _grid_degrees(args):
+    for deg in spin.grid_degrees(args.start, args.stop, args.step):
         eta = np.radians(deg)
         rows.append((deg, su2_distance(eta), so3_distance(eta)))
     _write_text(args.output, _tabular(rows, ("eta", "su2", "so3"), args.format))
@@ -92,7 +84,7 @@ def cmd_distances(args) -> int:
 
 def cmd_oracle(args) -> int:
     rows = []
-    for deg in _grid_degrees(args):
+    for deg in spin.grid_degrees(args.start, args.stop, args.step):
         rows.append((deg, oracle.sign_model_correlation(np.radians(deg))))
     _write_text(args.output, _tabular(rows, ("theta_deg", "oracle"), args.format))
     return EXIT_OK
@@ -102,8 +94,6 @@ def _load_experiment_config(path, seed_override) -> spin.ExperimentConfig:
     try:
         with open(path) as handle:
             payload = json.load(handle)
-    except OSError:
-        raise
     except json.JSONDecodeError as err:
         raise InvalidConfig(f"config is not valid JSON: {err}") from None
     if not isinstance(payload, dict):
@@ -206,6 +196,16 @@ def cmd_chsh(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _add_grid(parser, start, stop, step):
     parser.add_argument("--start", type=float, default=start)
     parser.add_argument("--stop", type=float, default=stop)
@@ -222,9 +222,10 @@ def _common_flags(parser, suppress: bool) -> None:
     parser.add_argument("--seed", type=int, default=d)
     parser.add_argument(
         "--threads",
-        type=int,
+        type=_positive_int,
         default=argparse.SUPPRESS if suppress else 1,
-        help="worker threads for per-pair statistics; output is identical for any value",
+        help="accepted for compatibility; pairs are reduced in one thread and "
+        "the output is identical for any value",
     )
 
 
@@ -250,7 +251,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("torsion-check", parents=[common], help="curvature/torsion survey")
     p.add_argument("points", nargs="?", help="JSON array of chart points")
     p.add_argument("--h", type=float, default=1e-4)
-    p.add_argument("--n-points", type=int, default=100)
+    p.add_argument("--n-points", type=_positive_int, default=100)
     p.set_defaults(func=cmd_torsion_check, default_format="json")
 
     p = sub.add_parser("chsh", parents=[common], help="search for the largest |CHSH|")
@@ -286,6 +287,9 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"spinsphere: {err}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as err:
+        print(f"spinsphere: input too large for memory: {err}", file=sys.stderr)
+        return EXIT_ARGS
     except SpinsphereError as err:
         print(f"spinsphere: {err}", file=sys.stderr)
         return EXIT_ARGS

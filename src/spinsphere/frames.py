@@ -133,11 +133,24 @@ def flat_metric(frame: TangentFrame) -> np.ndarray:
     return frame.rows @ frame.rows.T
 
 
-def _central4(f, x, mu: int, h: float):
-    """Five-point central derivative along coordinate mu."""
-    e = np.zeros(3)
-    e[mu] = h
-    return (-f(x + 2 * e) + 8 * f(x + e) - 8 * f(x - e) + f(x - 2 * e)) / (12 * h)
+def _gradient(f, x, h: float) -> np.ndarray:
+    """Five-point central derivatives along the three coordinates, on axis 0."""
+    return np.stack(
+        [
+            (-f(x + 2 * e) + 8 * f(x + e) - 8 * f(x - e) + f(x - 2 * e)) / (12 * h)
+            for e in h * np.eye(3)
+        ]
+    )
+
+
+def _riemann(gamma: np.ndarray, d_gamma: np.ndarray) -> np.ndarray:
+    """R[sigma, alpha, mu, nu] from a connection and its gradient d_gamma[mu]."""
+    return (
+        np.einsum("msna->samn", d_gamma)
+        - np.einsum("nsma->samn", d_gamma)
+        + np.einsum("lna,sml->samn", gamma, gamma)
+        - np.einsum("lma,snl->samn", gamma, gamma)
+    )
 
 
 def _check_point_step(chart_point, h: float) -> np.ndarray:
@@ -166,9 +179,8 @@ def _coframe(x: np.ndarray, h: float) -> np.ndarray:
     Differencing the embedding keeps the construction agnostic about
     the chart; nothing here assumes hyperspherical coordinates.
     """
-    jac = np.stack([_central4(_embed, x, mu, h) for mu in range(3)], axis=1)
     rows = _LEFT_BIVECTOR @ _embed(x)
-    return rows @ jac
+    return rows @ _gradient(_embed, x, h).T
 
 
 def weitzenbock_connection(chart_point, h: float = 1e-4) -> ConnectionCoefficients:
@@ -182,7 +194,7 @@ def weitzenbock_connection(chart_point, h: float = 1e-4) -> ConnectionCoefficien
     x = _check_point_step(chart_point, h)
     C = _coframe(x, h)
     Ci = np.linalg.inv(C)
-    dC = np.stack([_central4(lambda y: _coframe(y, h), x, nu, h) for nu in range(3)])
+    dC = _gradient(lambda y: _coframe(y, h), x, h)
     omega = np.einsum("ma,nab->mnb", Ci, dC)
     return ConnectionCoefficients(omega=omega, point=tuple(x), h=h)
 
@@ -196,9 +208,7 @@ def covariant_constancy_residual(chart_point, h: float = 1e-4) -> float:
     x = _check_point_step(chart_point, h)
     conn = weitzenbock_connection(x, h)
     C = _coframe(x, h)
-    dC = np.stack(
-        [_central4(lambda y: _coframe(y, h), x, nu, 2 * h) for nu in range(3)]
-    )
+    dC = _gradient(lambda y: _coframe(y, h), x, 2 * h)
     resid = dC - np.einsum("am,mnb->nab", C, conn.omega)
     return float(np.abs(resid).max())
 
@@ -207,17 +217,8 @@ def curvature_tensor(chart_point, h: float = 1e-4) -> np.ndarray:
     """R[sigma, alpha, mu, nu] of the frame connection; zero up to stencil noise."""
     x = _check_point_step(chart_point, h)
     omega = weitzenbock_connection(x, h).omega
-
-    def conn_at(y):
-        return weitzenbock_connection(y, h).omega
-
-    d_omega = np.stack([_central4(conn_at, x, mu, h) for mu in range(3)])
-    return (
-        np.einsum("msna->samn", d_omega)
-        - np.einsum("nsma->samn", d_omega)
-        + np.einsum("lna,sml->samn", omega, omega)
-        - np.einsum("lma,snl->samn", omega, omega)
-    )
+    d_omega = _gradient(lambda y: weitzenbock_connection(y, h).omega, x, h)
+    return _riemann(omega, d_omega)
 
 
 def torsion_tensor(chart_point, h: float = 1e-4) -> TorsionTensor:
@@ -278,7 +279,7 @@ def _round_metric(x: np.ndarray) -> np.ndarray:
 
 def _christoffel(x: np.ndarray, h: float) -> np.ndarray:
     g_inv = np.linalg.inv(_round_metric(x))
-    dg = np.stack([_central4(_round_metric, x, mu, h) for mu in range(3)])
+    dg = _gradient(_round_metric, x, h)
     return 0.5 * (
         np.einsum("sl,mln->smn", g_inv, dg)
         + np.einsum("sl,nlm->smn", g_inv, dg)
@@ -289,16 +290,7 @@ def _christoffel(x: np.ndarray, h: float) -> np.ndarray:
 def round_metric_curvature(chart_point, h: float = 1e-4) -> np.ndarray:
     """Riemann tensor R[sigma, alpha, mu, nu] of the round metric (nonzero)."""
     x = _check_point_step(chart_point, h)
-    gamma = _christoffel(x, h)
-    d_gamma = np.stack(
-        [_central4(lambda y: _christoffel(y, h), x, mu, h) for mu in range(3)]
-    )
-    return (
-        np.einsum("msna->samn", d_gamma)
-        - np.einsum("nsma->samn", d_gamma)
-        + np.einsum("lna,sml->samn", gamma, gamma)
-        - np.einsum("lma,snl->samn", gamma, gamma)
-    )
+    return _riemann(_christoffel(x, h), _gradient(lambda y: _christoffel(y, h), x, h))
 
 
 def round_metric_sectional(chart_point, h: float = 1e-4) -> np.ndarray:

@@ -18,7 +18,7 @@ the basis closure and the residual law hold for both lam values.
 Determinism contract: a fixed seed fixes every draw.  The generator is
 counter-based (Philox) and all draws happen in one fixed order during
 generation, so results do not depend on how later reductions are
-scheduled or threaded.
+scheduled.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ __all__ = [
     "propagate_error",
     "spin_basis",
     "correlation_curve",
+    "grid_degrees",
     "grid_pairs",
     "ORTHO_TOL",
 ]
@@ -71,16 +72,20 @@ _LAMBDA_MODES = ("fair_coin", "balanced_exact")
 _ALIGNMENT_MODES = ("unit", "uniform_r")
 
 
-def grid_pairs(start_deg: float, stop_deg: float, step_deg: float):
-    """Detector pairs for an angle grid: a = z-hat, b swept in the xz-plane."""
+def grid_degrees(start_deg: float, stop_deg: float, step_deg: float) -> np.ndarray:
+    """Angles start, start + step, ... up to stop inclusive, in degrees."""
     if step_deg <= 0:
         raise InvalidConfig("grid step must be positive")
     if start_deg > stop_deg:
         raise InvalidConfig("grid start must not exceed stop")
-    degrees = np.arange(start_deg, stop_deg + step_deg * 0.5, step_deg)
+    return np.arange(start_deg, stop_deg + step_deg * 0.5, step_deg)
+
+
+def grid_pairs(start_deg: float, stop_deg: float, step_deg: float):
+    """Detector pairs for an angle grid: a = z-hat, b swept in the xz-plane."""
     a = np.array([0.0, 0.0, 1.0])
     pairs = []
-    for deg in degrees:
+    for deg in grid_degrees(start_deg, stop_deg, step_deg):
         eta = np.radians(deg)
         pairs.append((a, np.array([np.sin(eta), 0.0, np.cos(eta)])))
     return pairs
@@ -189,8 +194,9 @@ def simulate_ensemble(config: ExperimentConfig) -> TrialEnsemble:
     Spin axes are three standard normals normalized (exactly isotropic).
     Any trial whose axis is within ORTHO_TOL of orthogonality to a
     configured detector direction is redrawn so the sign scores never
-    see a zero; the redraw loop consumes the generator in a fixed order,
-    keeping the stream deterministic.
+    see a zero.  The check runs once per distinct direction (the default
+    grid repeats z-hat in every pair); the redraw loop consumes the
+    generator in a fixed order, keeping the stream deterministic.
     """
     config.validate()
     n = int(config.n_trials)
@@ -209,17 +215,15 @@ def simulate_ensemble(config: ExperimentConfig) -> TrialEnsemble:
     else:
         r_a = np.ones(n)
 
-    directions = np.stack([d for pair in config.resolved_pairs() for d in pair])
+    directions = np.unique(
+        np.stack([d for pair in config.resolved_pairs() for d in pair]), axis=0
+    )
 
     def needs_redraw(vectors: np.ndarray) -> np.ndarray:
         norms = np.linalg.norm(vectors, axis=1)
-        bad = norms < 1e-9
-        ok = ~bad
-        if ok.any():
-            unit = vectors[ok] / norms[ok, None]
-            bad_ok = np.abs(unit @ directions.T).min(axis=1) < ORTHO_TOL
-            bad[np.flatnonzero(ok)[bad_ok]] = True
-        return bad
+        return (norms < 1e-9) | (
+            np.abs(vectors @ directions.T).min(axis=1) < ORTHO_TOL * norms
+        )
 
     bad = needs_redraw(raw)
     while bad.any():
@@ -425,10 +429,9 @@ def spin_basis(lam: int):
     return basis
 
 
-def _pair_result(trials: TrialEnsemble, a, b) -> CorrelationResult:
+def _pair_result(trials: TrialEnsemble, a, b, scalar_form: float) -> CorrelationResult:
     raw_mc, raw_stderr = raw_correlation(trials, a, b)
     scalar, residual = standard_score_correlation(trials, a, b)
-    scalar_form = scalar_product_correlation(trials, a, b)
     eta = float(np.arccos(np.clip(np.dot(a, b), -1.0, 1.0)))
     return CorrelationResult(
         a=np.asarray(a, float),
@@ -446,24 +449,12 @@ def _pair_result(trials: TrialEnsemble, a, b) -> CorrelationResult:
 def correlation_curve(config: ExperimentConfig, threads: int = 1):
     """CorrelationResult list over the configured pairs, one shared ensemble.
 
-    Threading splits work across detector pairs only; each pair's result
-    is computed from the same in-memory ensemble and written to its own
-    slot, so the output is identical for any thread count.
+    The pairs are reduced one after another; threads is accepted for
+    compatibility and does not change the work or the result.  The
+    scalar product form does not depend on the pair, so it is computed
+    once per ensemble.
     """
     trials = simulate_ensemble(config)
     pairs = config.resolved_pairs()
-    results: list = [None] * len(pairs)
-    if threads <= 1:
-        for k, (a, b) in enumerate(pairs):
-            results[k] = _pair_result(trials, a, b)
-        return results
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {
-            pool.submit(_pair_result, trials, a, b): k
-            for k, (a, b) in enumerate(pairs)
-        }
-        for future, k in futures.items():
-            results[k] = future.result()
-    return results
+    scalar_form = scalar_product_correlation(trials, *pairs[0])
+    return [_pair_result(trials, a, b, scalar_form) for a, b in pairs]

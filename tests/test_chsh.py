@@ -118,6 +118,31 @@ def test_variance_rhs_extremes():
     assert degenerate.idealized == 2.0
 
 
+def test_corrected_variance_bound_orientation():
+    # (a x a') . (b' x b) = -1 at (E1, E2, E1, E2), where the cosine string
+    # is 0; +1 at the Tsirelson quadruple, where it is 2 sqrt(2)
+    assert chsh.variance_rhs(E1, E2, E1, E2).corrected == 0.0
+    config = coplanar_config(0.0, 90.0, 225.0, 135.0)
+    value = chsh.chsh_string(config, chsh.su2_cosine_correlator)
+    bound = chsh.variance_rhs(config.a, config.a_prime, config.b, config.b_prime)
+    assert abs(value - 2 * SQRT2) < 1e-12
+    assert abs(bound.corrected - 2 * SQRT2) < 1e-12
+    assert bound.idealized == 0.0
+
+
+def test_corrected_variance_bound_holds_on_acceptance_quadruples():
+    # the 10,000 seed-707 quadruples of test_acceptance.py::test_07, which
+    # asserts the literal (idealized) orientation
+    rng = np.random.Generator(np.random.Philox(key=707))
+    worst = -np.inf
+    for _ in range(10_000):
+        v = rng.standard_normal((4, 3))
+        a, ap, b, bp = v / np.linalg.norm(v, axis=1, keepdims=True)
+        value = chsh.chsh_string(chsh.ChshConfig(a, ap, b, bp), chsh.su2_cosine_correlator)
+        worst = max(worst, abs(value) - chsh.variance_rhs(a, ap, b, bp).corrected)
+    assert worst <= 1e-9
+
+
 def test_variance_rhs_finite_n():
     trials = spin.simulate_ensemble(
         spin.ExperimentConfig(

@@ -206,3 +206,28 @@ def test_stdout_default(capsys):
 def test_unknown_command_exits_one(capsys):
     assert run(["no-such-command"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_threads_must_be_positive(tmp_path, capsys, value):
+    cfg = write_config(tmp_path / "cfg.json")
+    out = tmp_path / "s.csv"
+    assert run(["simulate", str(cfg), "--threads", value, "--output", str(out)]) == 1
+    assert "--threads: must be a positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_torsion_check_n_points_must_be_positive(tmp_path, capsys):
+    out = tmp_path / "t.json"
+    assert run(["torsion-check", "--n-points", "0", "--output", str(out)]) == 1
+    assert "--n-points: must be a positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_grid_too_large_for_memory_exits_one(tmp_path, capsys):
+    # 3.6e14 rows: numpy refuses the allocation up front
+    out = tmp_path / "d.csv"
+    assert run(["distances", "--step", "1e-12", "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("spinsphere: ") and "Traceback" not in err
+    assert not out.exists()

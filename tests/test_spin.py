@@ -43,6 +43,16 @@ def test_grid_pairs_default_count():
     assert np.allclose(b_last, [np.sin(np.pi), 0, np.cos(np.pi)], atol=1e-15)
 
 
+def test_grid_degrees_inclusive_and_validated():
+    degrees = spin.grid_degrees(0.0, 180.0, 5.0)
+    assert degrees.size == 37 and degrees[0] == 0.0 and degrees[-1] == 180.0
+    assert [b[0] for _, b in spin.grid_pairs(0.0, 90.0, 90.0)] == [0.0, 1.0]
+    with pytest.raises(InvalidConfig):
+        spin.grid_degrees(0.0, 180.0, 0.0)
+    with pytest.raises(InvalidConfig):
+        spin.grid_degrees(10.0, 0.0, 1.0)
+
+
 def test_config_validation():
     with pytest.raises(InvalidConfig):
         make_config(n_trials=0).validate()
@@ -83,6 +93,21 @@ def test_ensemble_never_orthogonal_to_configured_directions():
     trials = spin.simulate_ensemble(make_config(n_trials=20_000))
     for d in (E3, E1):
         assert np.abs(trials.s @ d).min() >= spin.ORTHO_TOL
+
+
+def test_redraw_replaces_a_trial_orthogonal_to_a_repeated_direction():
+    # the first axis the generator draws for seed 5, and a direction exactly
+    # orthogonal to it, configured twice so the distinct-direction check
+    # still has to catch it
+    first = np.random.Generator(np.random.Philox(key=5)).standard_normal(3)
+    d = np.cross(first, E1)
+    d /= np.linalg.norm(d)
+    assert abs(first @ d) < spin.ORTHO_TOL * np.linalg.norm(first)
+    trials = spin.simulate_ensemble(
+        make_config(n_trials=10, seed=5, direction_pairs=[(d, E3), (d, d)])
+    )
+    assert not np.allclose(trials.s[0], first / np.linalg.norm(first))
+    assert np.abs(trials.s @ d).min() >= spin.ORTHO_TOL
 
 
 def test_uniform_r_mode():
@@ -330,6 +355,24 @@ def test_correlation_curve_threads_identical():
         assert r1.raw_stderr == r2.raw_stderr
         assert r1.standard_score_scalar == r2.standard_score_scalar
         assert r1.scalar_product_form == r2.scalar_product_form
+
+
+def test_correlation_curve_scalar_form_once_per_ensemble(monkeypatch):
+    calls = []
+    original = spin.scalar_product_correlation
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(spin, "scalar_product_correlation", counted)
+    cfg = make_config(
+        n_trials=400,
+        direction_pairs={"start_deg": 0.0, "stop_deg": 180.0, "step_deg": 30.0},
+    )
+    results = spin.correlation_curve(cfg, threads=4)
+    assert len(results) == 7 and len(calls) == 1
+    assert all(r.scalar_product_form == -1.0 for r in results)
 
 
 def test_correlation_curve_references():
