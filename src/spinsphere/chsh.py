@@ -1,8 +1,9 @@
 """CHSH string assembly and the 2 sqrt(2) bound search.
 
 The string E(a,b) + E(a,b') + E(a',b) - E(a',b') is evaluated for three
-correlators: the smooth cosine law, the quotient saw, and the raw Monte
-Carlo estimator on a fixed ensemble.  The maximizer runs a coplanar
+correlators: the smooth cosine law, the quotient saw, and
+spin.raw_correlation on a fixed ensemble redraw-checked against x-hat,
+the anchor every table entry reads.  The maximizer runs a coplanar
 1-degree grid (the cosine optimum is coplanar; a full-sphere
 random-restart pass double-checks that), then refines by coordinate
 descent.  The classic maximum for the cosine correlator is 2 sqrt(2) at
@@ -25,8 +26,8 @@ from scipy.optimize import minimize
 
 from . import algebra
 from .errors import InvalidConfig, OptimizerBudgetExceeded
-from .geometry import so3_distance
-from .spin import ExperimentConfig, simulate_ensemble
+from .geometry import separation_angle, so3_distance
+from .spin import ExperimentConfig, raw_correlation, simulate_ensemble
 
 __all__ = [
     "TSIRELSON_BOUND",
@@ -44,6 +45,9 @@ __all__ = [
 ]
 
 TSIRELSON_BOUND = 2.0 * np.sqrt(2.0)
+GRID_STEP_DEG = 1.0  # coplanar grid and relative-angle table resolution
+REFINE_TOL_RAD = 1e-4  # coordinate descent stops below this step
+RESTARTS = 100  # Nelder-Mead runs in the full-sphere guard
 
 _KINDS = ("su2_cosine", "so3_saw", "monte_carlo")
 
@@ -84,9 +88,6 @@ class BoundReport:
 
 @dataclass
 class OptimizerConfig:
-    grid_step_deg: float = 1.0
-    refine_tol_rad: float = 1e-4
-    restarts: int = 100
     budget: int = 5_000_000
     seed: int = 2026
     mc_trials: int = 1_000_000
@@ -105,20 +106,16 @@ def su2_cosine_correlator(a, b) -> float:
 
 def so3_saw_correlator(a, b) -> float:
     """Quotient geodesic law applied to the separation angle."""
-    eta = float(np.arccos(np.clip(np.dot(a, b), -1.0, 1.0)))
-    return so3_distance(eta)
+    return so3_distance(separation_angle(a, b))
 
 
 def monte_carlo_correlator(trials):
-    """Raw sign-model estimator bound to a fixed ensemble."""
+    """spin.raw_correlation's estimate, bound to a fixed ensemble.
 
-    def correlator(a, b) -> float:
-        products = np.sign(trials.s @ np.asarray(a, float)) * np.sign(
-            -(trials.s @ np.asarray(b, float))
-        )
-        return float(np.mean(products))
-
-    return correlator
+    sign(0) = 0: a trial orthogonal to a direction its ensemble was not
+    redraw-checked against scores 0 rather than +-1.
+    """
+    return lambda a, b: raw_correlation(trials, a, b)[0]
 
 
 def _string(correlator, a, a_prime, b, b_prime) -> float:
@@ -328,24 +325,21 @@ def maximize_chsh(
     elif correlation_kind == "so3_saw":
         correlator = so3_saw_correlator
     else:
+        x_hat = _planar_direction(0.0)  # every table entry reads it; redraw-check it
         ensemble = simulate_ensemble(
-            ExperimentConfig(n_trials=cfg.mc_trials, seed=cfg.seed)
+            ExperimentConfig(cfg.mc_trials, cfg.seed, direction_pairs=[(x_hat, x_hat)])
         )
         correlator = monte_carlo_correlator(ensemble)
 
-    table = _relative_angle_table(correlator, cfg.grid_step_deg, budget)
+    table = _relative_angle_table(correlator, GRID_STEP_DEG, budget)
     grid_value, u, v, w = _coplanar_grid_max(table)
-    angles = np.radians(np.array([0.0, u, v, w]) * cfg.grid_step_deg)
+    angles = np.radians(np.array([0.0, u, v, w]) * GRID_STEP_DEG)
 
     if correlation_kind == "monte_carlo":
         value = grid_value
     else:
-        value, angles = _coordinate_descent(
-            correlator, angles, cfg.refine_tol_rad, budget
-        )
-        guard = _random_restart_guard(
-            correlator, value, cfg.restarts, cfg.seed, budget
-        )
+        value, angles = _coordinate_descent(correlator, angles, REFINE_TOL_RAD, budget)
+        guard = _random_restart_guard(correlator, value, RESTARTS, cfg.seed, budget)
         if guard is not None:
             best_value, directions = guard
             return BoundReport(

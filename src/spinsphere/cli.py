@@ -27,7 +27,7 @@ from .errors import (
     SpinsphereError,
     StepOutOfRange,
 )
-from .geometry import so3_distance, su2_distance
+from .geometry import separation_angle, so3_distance, su2_distance
 
 EXIT_OK = 0
 EXIT_ARGS = 1
@@ -112,6 +112,8 @@ def _load_experiment_config(path, seed_override) -> spin.ExperimentConfig:
         )
     except KeyError as missing:
         raise InvalidConfig(f"config missing field {missing}") from None
+    except (TypeError, ValueError):
+        raise InvalidConfig("n_trials and seed must be integers") from None
     return config.validate()
 
 
@@ -120,10 +122,9 @@ def cmd_simulate(args) -> int:
     results = spin.correlation_curve(config, threads=args.threads)
     rows = []
     for res in results:
-        eta_deg = np.degrees(np.arccos(np.clip(np.dot(res.a, res.b), -1.0, 1.0)))
         rows.append(
             (
-                eta_deg,
+                np.degrees(separation_angle(res.a, res.b)),
                 res.raw_mc,
                 res.raw_stderr,
                 res.standard_score_scalar,
@@ -143,7 +144,10 @@ def _torsion_points(args):
             payload = json.load(handle)
         if not isinstance(payload, list) or not payload:
             raise InvalidConfig("points file must be a non-empty JSON array")
-        return [tuple(float(c) for c in point) for point in payload]
+        try:
+            return [tuple(float(c) for c in point) for point in payload]
+        except (TypeError, ValueError):
+            raise InvalidConfig("points must be arrays of numbers") from None
     seed = 20 if args.seed is None else args.seed
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     lo, hi = frames.COLLAR, np.pi - frames.COLLAR

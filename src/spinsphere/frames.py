@@ -21,7 +21,7 @@ import numpy as np
 
 from . import algebra
 from .errors import ChartDegeneracy, NonUnitRotor, StepOutOfRange
-from .geometry import embed_round, so3_sin_alpha
+from .geometry import embed_round, separation_angle, so3_sin_alpha
 
 __all__ = [
     "TangentFrame",
@@ -263,8 +263,7 @@ def torsion_bivector_so3(a, b) -> np.ndarray:
     n = float(np.linalg.norm(cross))
     if n < 1e-12:
         return np.zeros(8)
-    eta = float(np.arccos(np.clip(np.dot(a, b), -1.0, 1.0)))
-    return algebra.bivector_embed(so3_sin_alpha(eta) * cross / n)
+    return algebra.bivector_embed(so3_sin_alpha(separation_angle(a, b)) * cross / n)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ __all__ = [
     "round_to_flat",
     "flat_to_round",
     "rotor_angle",
+    "separation_angle",
     "su2_distance",
     "so3_distance",
     "so3_distance_rotors",
@@ -84,6 +85,11 @@ def rotor_angle(qa, qb) -> float:
     return float(np.arccos(np.clip(dot, 0.0, 1.0)))
 
 
+def separation_angle(a, b) -> float:
+    """Angle in [0, pi] between unit vectors a and b; a rounded |a.b| > 1 clips."""
+    return float(np.arccos(np.clip(np.dot(a, b), -1.0, 1.0)))
+
+
 def _check_eta(eta: float, hi: float) -> float:
     eta = float(eta)
     if not 0.0 <= eta <= hi:
@@ -115,10 +121,7 @@ def quotient_project(eta: float) -> float:
 
 def so3_exp_parameter(psi: float) -> float:
     """Exponential-map parameter t(psi) on [0, 4pi]: -1 + psi/pi, then 3 - psi/pi."""
-    psi = _check_eta(psi, 4.0 * np.pi)
-    if psi <= 2.0 * np.pi:
-        return -1.0 + psi / np.pi
-    return 3.0 - psi / np.pi
+    return so3_distance(_check_eta(psi, 4.0 * np.pi) / 2.0)
 
 
 def so3_distance_rotors(qa, qb) -> float:
@@ -126,14 +129,13 @@ def so3_distance_rotors(qa, qb) -> float:
 
     The relative rotation angle psi = 2 atan2(|bivector|, scalar) lands
     in [0, 2pi]; since the saw satisfies D(psi) = D(4pi - psi) this
-    branch covers the full 4pi range.  Equals so3_distance(psi/2).
+    branch covers the full 4pi range.  Returns so3_distance(psi/2).
     """
     wa, wb = even_part(qa), even_part(qb)
     # qa * reverse(qb) in (scalar, axis) components; biv(u) biv(v) = -u.v - biv(u x v)
     scalar = float(np.dot(wa, wb))
     biv = -wa[0] * wb[1:] + wb[0] * wa[1:] + np.cross(wa[1:], wb[1:])
-    psi = 2.0 * float(np.arctan2(np.linalg.norm(biv), scalar))
-    return -1.0 + psi / np.pi
+    return so3_distance(float(np.arctan2(np.linalg.norm(biv), scalar)))
 
 
 def so3_sin_alpha(eta: float) -> float:
@@ -183,7 +185,7 @@ class SO3Metric:
         """
         a = np.asarray(a, float)
         b = np.asarray(b, float)
-        eta = float(np.arccos(np.clip(np.dot(a, b), -1.0, 1.0)))
+        eta = separation_angle(a, b)
         out = np.zeros(8)
         out[0] = so3_distance(eta)
         cross = np.cross(a, b)

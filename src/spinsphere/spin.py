@@ -5,7 +5,8 @@ sphere, a frame orientation lam = +-1, and an optional alignment radius
 r_a.  Three correlation statistics are computed side by side for a
 detector pair (a, b):
 
-  * the raw sign-model estimator mean of sign(s.a) sign(-s.b),
+  * the raw sign-model estimator mean of sign(s.a) sign(-s.b) with
+    sign(0) = 0 and its standard error from two counts (chsh uses it too),
   * the standard-score product, a multivector whose scalar part is
     -a.b exactly and whose bivector residual is |mean lam| |a x b|,
   * the scalar product moment, identically -1.
@@ -36,7 +37,7 @@ from .errors import (
     TooFewTrials,
     ZeroDispersion,
 )
-from .geometry import so3_distance, su2_distance
+from .geometry import separation_angle, so3_distance, su2_distance
 
 __all__ = [
     "ExperimentConfig",
@@ -119,15 +120,17 @@ class ExperimentConfig:
                 )
             except KeyError as missing:
                 raise InvalidConfig(f"grid spec missing {missing}") from None
-        pairs = []
-        for entry in spec:
-            a = np.asarray(entry[0], float)
-            b = np.asarray(entry[1], float)
+            except (TypeError, ValueError):
+                raise InvalidConfig("grid spec values must be numbers") from None
+        try:
+            pairs = [(np.asarray(a, float), np.asarray(b, float)) for a, b in spec]
+        except (TypeError, ValueError):
+            raise InvalidConfig("direction_pairs must list [a, b] pairs") from None
+        for a, b in pairs:
             if a.shape != (3,) or b.shape != (3,):
                 raise InvalidConfig("direction pairs must be 3-vectors")
             if abs(np.linalg.norm(a) - 1.0) > 1e-9 or abs(np.linalg.norm(b) - 1.0) > 1e-9:
                 raise InvalidConfig("direction pairs must be unit vectors")
-            pairs.append((a, b))
         if not pairs:
             raise InvalidConfig("no direction pairs given")
         return pairs
@@ -248,15 +251,19 @@ def _require_trials(trials, minimum: int) -> TrialEnsemble:
 
 
 def raw_correlation(trials: TrialEnsemble, a, b):
-    """Mean and standard error of the raw score product."""
+    """Mean and standard error of sign(s.a) sign(-s.b), with sign(0) = 0.
+
+    The products are +-1 or 0, so their sum S is exact and, with k of
+    them nonzero, sum((x - mean)^2) = k - S mean.
+    """
     _require_trials(trials, 2)
     products = np.sign(trials.s @ np.asarray(a, float)) * np.sign(
         -(trials.s @ np.asarray(b, float))
     )
-    n = len(trials)
-    estimate = float(np.mean(products))
-    stderr = float(np.std(products, ddof=1) / np.sqrt(n))
-    return estimate, stderr
+    n, total = len(trials), float(products.sum())
+    mean = total / n
+    spread = max(np.count_nonzero(products) - total * mean, 0.0)
+    return mean, float(np.sqrt(spread / (n - 1)) / np.sqrt(n))
 
 
 def measurement_A(a, lam: int):
@@ -432,7 +439,7 @@ def spin_basis(lam: int):
 def _pair_result(trials: TrialEnsemble, a, b, scalar_form: float) -> CorrelationResult:
     raw_mc, raw_stderr = raw_correlation(trials, a, b)
     scalar, residual = standard_score_correlation(trials, a, b)
-    eta = float(np.arccos(np.clip(np.dot(a, b), -1.0, 1.0)))
+    eta = separation_angle(a, b)
     return CorrelationResult(
         a=np.asarray(a, float),
         b=np.asarray(b, float),

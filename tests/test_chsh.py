@@ -199,3 +199,32 @@ def test_maximize_rejects_unknown_kind():
 def test_maximize_budget_enforced():
     with pytest.raises(OptimizerBudgetExceeded):
         chsh.maximize_chsh("su2_cosine", chsh.OptimizerConfig(budget=10))
+
+
+def test_one_estimator_pins_sign_zero_and_closed_form_stderr():
+    # a = z, b = x: products sign(s_z) sign(-s_x) are +1, +1, -1 and 0
+    trials = spin.TrialEnsemble(
+        s=np.array([[-1.0, 0.0, 1.0], [1.0, 0.0, -1.0], [1.0, 0.0, 1.0], [1.0, 0.0, 0.0]]),
+        lam=np.array([1, -1, 1, -1], dtype=np.int8),
+        r_a=np.ones(4),
+    )
+    estimate, stderr = spin.raw_correlation(trials, E3, E1)
+    assert abs(estimate - 0.25) < 1e-15
+    assert abs(stderr - np.sqrt(2.75 / 3) / 2) < 1e-15
+    assert chsh.monte_carlo_correlator(trials)(E3, E1) == estimate
+
+
+def test_monte_carlo_ensemble_redraw_checks_the_table_anchor(monkeypatch):
+    drawn = []
+
+    def capture(config):
+        drawn.append(config)
+        return spin.simulate_ensemble(config)
+
+    monkeypatch.setattr(chsh, "simulate_ensemble", capture)
+    chsh.maximize_chsh("monte_carlo", chsh.OptimizerConfig(mc_trials=1000))
+    (config,) = drawn
+    pairs = config.resolved_pairs()
+    assert len(pairs) == 1
+    for direction in pairs[0]:
+        assert np.array_equal(direction, E1)

@@ -231,3 +231,27 @@ def test_grid_too_large_for_memory_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("spinsphere: ") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("simulate", {"direction_pairs": 5}),
+        ("simulate", {"direction_pairs": [1]}),
+        ("simulate", {"direction_pairs": [[[0, 0, 1]]]}),
+        ("simulate", {"direction_pairs": {"start_deg": None, "stop_deg": 9, "step_deg": 1}}),
+        ("simulate", {"n_trials": None}),
+        ("torsion-check", [5]),
+    ],
+)
+def test_malformed_input_file_exits_one(tmp_path, capsys, command, payload):
+    if command == "simulate":
+        source = write_config(tmp_path / "cfg.json", **payload)
+    else:
+        source = tmp_path / "pts.json"
+        source.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    assert run([command, str(source), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("spinsphere: ") and "Traceback" not in err
+    assert not out.exists()

@@ -205,3 +205,23 @@ def test_distance_sample_row_format():
     assert float(so3) == -0.5
     # 17 significant digits round-trip the doubles exactly
     assert float(eta) == np.pi / 4
+
+
+def test_separation_angle_clips_rounded_dot_products():
+    u = np.ones(3) / np.linalg.norm(np.ones(3))
+    # u.u and u.(-u) round to +-1.0000000000000002, outside arccos's domain
+    assert geometry.separation_angle(u, u) == 0.0
+    assert geometry.separation_angle(u, -u) == np.pi
+
+
+def test_saw_laws_share_so3_distance_bitwise():
+    for psi in np.linspace(0.0, 4 * np.pi, 20_001):
+        psi = float(psi)
+        saw = -1.0 + psi / np.pi if psi <= 2 * np.pi else 3.0 - psi / np.pi
+        assert geometry.so3_exp_parameter(psi) == geometry.so3_distance(psi / 2) == saw
+    for _ in range(2_000):
+        qa, qb = random_rotor(), random_rotor()
+        wa, wb = algebra.even_part(qa), algebra.even_part(qb)
+        biv = -wa[0] * wb[1:] + wb[0] * wa[1:] + np.cross(wa[1:], wb[1:])
+        psi = 2.0 * float(np.arctan2(np.linalg.norm(biv), float(np.dot(wa, wb))))
+        assert geometry.so3_distance_rotors(qa, qb) == -1.0 + psi / np.pi
