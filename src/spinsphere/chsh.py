@@ -3,12 +3,16 @@
 The string E(a,b) + E(a,b') + E(a',b) - E(a',b') is evaluated for three
 correlators: the smooth cosine law, the quotient saw, and
 spin.raw_correlation on a fixed ensemble redraw-checked against x-hat,
-the anchor every table entry reads.  The maximizer runs a coplanar
-1-degree grid (the cosine optimum is coplanar; a full-sphere
-random-restart pass double-checks that), then refines by coordinate
-descent.  The classic maximum for the cosine correlator is 2 sqrt(2) at
-(0, 90, 225, 135) degrees; the saw correlator tops out at 2, already on
-degenerate quadruples.
+the setting a of every grid string.  The maximizer runs a coplanar
+1-degree grid over a table of E between every two grid directions (the
+cosine optimum is coplanar; a full-sphere random-restart pass
+double-checks that), then refines the closed forms by coordinate
+descent.  The Monte Carlo table holds exact integer sums of per-trial
+products, so every grid string it reports is the ensemble mean of
+per-trial strings and never exceeds the local bound of 2.  The classic
+maximum for the cosine correlator is 2 sqrt(2) at (0, 90, 225, 135)
+degrees; the saw correlator tops out at 2, already on degenerate
+quadruples.
 
 The two stations' scores are kept in separate algebra copies: a string
 evaluation never multiplies an a-side element by a b-side element, so
@@ -45,7 +49,8 @@ __all__ = [
 ]
 
 TSIRELSON_BOUND = 2.0 * np.sqrt(2.0)
-GRID_STEP_DEG = 1.0  # coplanar grid and relative-angle table resolution
+GRID_STEP_DEG = 1.0  # coplanar grid and correlation table resolution
+EDGE_TOL_DEG = 1e-9  # azimuths this close to a grid direction take the dot-product path
 REFINE_TOL_RAD = 1e-4  # coordinate descent stops below this step
 RESTARTS = 100  # Nelder-Mead runs in the full-sphere guard
 
@@ -194,7 +199,7 @@ def _planar_direction(angle_rad: float) -> np.ndarray:
 
 
 def _relative_angle_table(correlator, step_deg: float, budget: _Budget) -> np.ndarray:
-    """E between coplanar directions d degrees apart, d = 0 .. 360/step - 1."""
+    """E between x-hat and the planar direction d steps from it, d = 0 .. 360/step - 1."""
     count = int(round(360.0 / step_deg))
     base = _planar_direction(0.0)
     table = np.empty(count)
@@ -204,20 +209,49 @@ def _relative_angle_table(correlator, step_deg: float, budget: _Budget) -> np.nd
     return table
 
 
+def _planar_count_table(trials) -> np.ndarray:
+    """C[i, j] = sum over trials of sign(s.d_i) sign(-s.d_j), d_k = k grid steps.
+
+    C / n equals raw_correlation(trials, d_i, d_j)[0] bit for bit: the sum
+    is an exact integer.  A trial whose azimuth lies strictly inside bin
+    k is more than EDGE_TOL_DEG from orthogonal to every d_i, so its signs
+    depend on k alone: +1 within a quarter turn of the bin, else -1.  The
+    bins enter as one count-weighted integer product of those sign
+    patterns, exact and free of BLAS work buffers.  A trial within
+    EDGE_TOL_DEG of a grid direction (s_x = s_y = 0 among them: atan2
+    gives 0 or 180 degrees) is scored by raw_correlation's own
+    per-direction dot products, which keeps sign(0) = 0 and the rounding
+    of near-orthogonal s.d; a matrix product may round those differently.
+    """
+    count = int(round(360.0 / GRID_STEP_DEG))
+    directions = [_planar_direction(np.radians(k * GRID_STEP_DEG)) for k in range(count)]
+    s = trials.s
+    azimuth = np.degrees(np.arctan2(s[:, 1], s[:, 0])) / GRID_STEP_DEG
+    edge = np.abs(azimuth - np.rint(azimuth)) * GRID_STEP_DEG <= EDGE_TOL_DEG
+    bins = np.bincount(np.floor(azimuth[~edge]).astype(np.int64) % count, minlength=count)
+    k = np.arange(count)
+    offset = (k[:, None] - k[None, :]) % count
+    patterns = np.where((offset < count // 4) | (offset >= 3 * count // 4), 1, -1)
+    on_edge = s[edge]
+    edge_patterns = np.stack([np.sign(on_edge @ d) for d in directions], axis=1)
+    rows = np.vstack([patterns, edge_patterns.astype(np.int64)])
+    weights = np.concatenate([bins, np.ones(len(on_edge), dtype=np.int64)])
+    return -((rows.T * weights) @ rows)
+
+
 def _coplanar_grid_max(table: np.ndarray):
     """Best |CHSH| over the integer grid, a fixed at index 0.
 
-    With A(v) = f(v) + f(v - u) and B(w) = f(w) - f(w - u) the string is
-    A(v) + B(w), so each u needs only the extrema of A and B.  Ties keep
-    the lowest (u, v, w) thanks to strict improvement and argmax's
-    first-hit rule.
+    table[i, j] is E (or an integer count) between grid directions i and
+    j.  With A = table[0] + table[u] and B = table[0] - table[u] the
+    string at (0, u, v, w) is A[v] + B[w], so each u needs only the
+    extrema of A and B.  Ties keep the lowest (u, v, w) thanks to strict
+    improvement and argmax's first-hit rule.
     """
-    count = table.size
-    idx = np.arange(count)
     best = (-1.0, 0, 0, 0)
-    for u in range(count):
-        A = table[idx] + table[(idx - u) % count]
-        B = table[idx] - table[(idx - u) % count]
+    for u in range(table.shape[0]):
+        A = table[0] + table[u]
+        B = table[0] - table[u]
         v_hi, v_lo = int(np.argmax(A)), int(np.argmin(A))
         w_hi, w_lo = int(np.argmax(B)), int(np.argmin(B))
         hi = A[v_hi] + B[w_hi]
@@ -309,34 +343,41 @@ def maximize_chsh(
 ) -> BoundReport:
     """Search for the largest |CHSH| under the named correlator.
 
-    Deterministic given the optimizer config.  The Monte Carlo kind uses
-    a fixed seeded ensemble and stops at the grid stage: 1 degree of
-    direction resolution is already far below the estimator's standard
-    error, and the restart guard would re-estimate the string thousands
-    of times for no extra information.
+    Deterministic given the optimizer config.  The Monte Carlo kind
+    counts every grid table entry on a fixed seeded ensemble, one budget
+    evaluation each, and stops at the grid stage: 1 degree of direction
+    resolution is already far below the estimator's standard error, and
+    the restart guard would re-estimate the string thousands of times for
+    no extra information.
     """
     if correlation_kind not in _KINDS:
         raise InvalidConfig(f"unknown correlation_kind {correlation_kind!r}")
     cfg = optimizer_config or OptimizerConfig()
     budget = _Budget(cfg.budget)
 
-    if correlation_kind == "su2_cosine":
-        correlator = su2_cosine_correlator
-    elif correlation_kind == "so3_saw":
-        correlator = so3_saw_correlator
-    else:
-        x_hat = _planar_direction(0.0)  # every table entry reads it; redraw-check it
+    if correlation_kind == "monte_carlo":
+        count = int(round(360.0 / GRID_STEP_DEG))
+        budget.spend(count * count)
+        x_hat = _planar_direction(0.0)  # a of every grid string; redraw-check it
         ensemble = simulate_ensemble(
             ExperimentConfig(cfg.mc_trials, cfg.seed, direction_pairs=[(x_hat, x_hat)])
         )
-        correlator = monte_carlo_correlator(ensemble)
-
-    table = _relative_angle_table(correlator, GRID_STEP_DEG, budget)
+        table = _planar_count_table(ensemble)
+    else:
+        correlator = {"su2_cosine": su2_cosine_correlator, "so3_saw": so3_saw_correlator}[
+            correlation_kind
+        ]
+        relative = _relative_angle_table(correlator, GRID_STEP_DEG, budget)
+        # the laws depend on the separation angle only, so the table is the
+        # circulant table[u, v] = relative[(v - u) % count], here a view
+        count = relative.size
+        windows = np.lib.stride_tricks.sliding_window_view(np.tile(relative, 2), count)
+        table = windows[count:0:-1]
     grid_value, u, v, w = _coplanar_grid_max(table)
     angles = np.radians(np.array([0.0, u, v, w]) * GRID_STEP_DEG)
 
     if correlation_kind == "monte_carlo":
-        value = grid_value
+        value = grid_value / len(ensemble)  # |sum of per-trial strings| <= 2 n
     else:
         value, angles = _coordinate_descent(correlator, angles, REFINE_TOL_RAD, budget)
         guard = _random_restart_guard(correlator, value, RESTARTS, cfg.seed, budget)

@@ -102,6 +102,11 @@ def _load_experiment_config(path, seed_override) -> spin.ExperimentConfig:
     unknown = set(payload) - known
     if unknown:
         raise InvalidConfig(f"unknown config fields {sorted(unknown)}")
+    for field in ("n_trials", "seed"):
+        value = payload.get(field, 0)  # a missing field is reported below
+        integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+        if isinstance(value, bool) or not integral:
+            raise InvalidConfig(f"{field} must be an integer, got {value!r}")
     try:
         config = spin.ExperimentConfig(
             n_trials=int(payload["n_trials"]),
@@ -112,8 +117,6 @@ def _load_experiment_config(path, seed_override) -> spin.ExperimentConfig:
         )
     except KeyError as missing:
         raise InvalidConfig(f"config missing field {missing}") from None
-    except (TypeError, ValueError):
-        raise InvalidConfig("n_trials and seed must be integers") from None
     return config.validate()
 
 
@@ -145,18 +148,25 @@ def _torsion_points(args):
         if not isinstance(payload, list) or not payload:
             raise InvalidConfig("points file must be a non-empty JSON array")
         try:
-            return [tuple(float(c) for c in point) for point in payload]
+            points = [tuple(float(c) for c in point) for point in payload]
         except (TypeError, ValueError):
             raise InvalidConfig("points must be arrays of numbers") from None
+        if any(len(point) != 3 for point in points):
+            raise InvalidConfig("points must be [chi, theta, phi] triples")
+        return points
     seed = 20 if args.seed is None else args.seed
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     lo, hi = frames.COLLAR, np.pi - frames.COLLAR
+    # the stencils check points up to 2h away; frames refuses an h out of range
+    in_range = frames.STEP_RANGE[0] <= args.h <= frames.STEP_RANGE[1]
+    clearance = frames.COLLAR + (2.0 * args.h if in_range else 0.0)
     points = []
-    for _ in range(args.n_points):
+    while len(points) < args.n_points:
         chi = rng.uniform(lo, hi)
         theta = rng.uniform(lo, hi)
         phi = rng.uniform(0.0, 2.0 * np.pi)
-        points.append((chi, theta, phi))
+        if min(chi, np.pi - chi, theta, np.pi - theta) >= clearance:
+            points.append((chi, theta, phi))
     return points
 
 

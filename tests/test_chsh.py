@@ -228,3 +228,53 @@ def test_monte_carlo_ensemble_redraw_checks_the_table_anchor(monkeypatch):
     assert len(pairs) == 1
     for direction in pairs[0]:
         assert np.array_equal(direction, E1)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 7, 11, 2026])
+def test_monte_carlo_search_never_exceeds_local_bound(seed):
+    # every per-trial string of +-1/0 outcomes lies in [-2, 2], so the mean does
+    report = chsh.maximize_chsh("monte_carlo", chsh.OptimizerConfig(seed=seed))
+    assert report.chsh_value <= 2.0
+
+
+def test_monte_carlo_count_table_matches_direct_estimator():
+    trials = spin.simulate_ensemble(
+        spin.ExperimentConfig(200_000, 31, direction_pairs=[(E1, E1)])
+    )
+    table = chsh._planar_count_table(trials)
+    rng = np.random.default_rng(5)
+    for i, j in rng.integers(0, 360, size=(24, 2)):
+        assert table[i, j] / len(trials) == spin.raw_correlation(trials, planar(i), planar(j))[0]
+
+
+def test_monte_carlo_count_table_keeps_edge_signs():
+    # x-hat against d_90 = (6.1e-17, 1, 0) is +1, the pole z-hat scores 0 everywhere,
+    # and (1, 1, 0)/sqrt(2) sits on the 45-degree grid direction
+    generic = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
+    s = np.array([E1, E2, E3, np.array([1.0, 1.0, 0.0]) / SQRT2, generic])
+    trials = spin.TrialEnsemble(s=s, lam=np.ones(5, dtype=np.int8), r_a=np.ones(5))
+    table = chsh._planar_count_table(trials)
+    for i in (0, 45, 90, 270):
+        for j in range(360):
+            assert table[i, j] / 5 == spin.raw_correlation(trials, planar(i), planar(j))[0]
+
+
+def test_monte_carlo_search_charges_one_evaluation_per_table_entry():
+    with pytest.raises(OptimizerBudgetExceeded):
+        chsh.maximize_chsh("monte_carlo", chsh.OptimizerConfig(budget=360**2 - 1, mc_trials=1000))
+    report = chsh.maximize_chsh("monte_carlo", chsh.OptimizerConfig(budget=360**2, mc_trials=1000))
+    assert report.chsh_value <= 2.0
+
+
+def test_monte_carlo_count_table_rounds_grid_azimuths_like_the_estimator():
+    # s on integer-degree azimuths: s.d is near 0 at 90 degrees away, and its
+    # rounded sign must be the one raw_correlation's dot product gives
+    rng = np.random.default_rng(9)
+    k = np.radians(rng.integers(0, 360, size=2000))
+    s = np.stack([np.cos(k), np.sin(k), rng.normal(size=2000)], axis=1)
+    s *= rng.uniform(0.1, 3.0, size=(2000, 1))
+    trials = spin.TrialEnsemble(s=s, lam=np.ones(2000, dtype=np.int8), r_a=np.ones(2000))
+    table = chsh._planar_count_table(trials)
+    for i in rng.integers(0, 360, size=12):
+        row = [spin.raw_correlation(trials, planar(i), planar(j))[0] for j in range(360)]
+        assert np.array_equal(table[i] / 2000, row)

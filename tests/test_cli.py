@@ -242,6 +242,11 @@ def test_grid_too_large_for_memory_exits_one(tmp_path, capsys):
         ("simulate", {"direction_pairs": {"start_deg": None, "stop_deg": 9, "step_deg": 1}}),
         ("simulate", {"n_trials": None}),
         ("torsion-check", [5]),
+        ("torsion-check", [[1.0, 1.2]]),
+        ("simulate", {"n_trials": 10.7}),
+        ("simulate", {"seed": 1.9}),
+        ("simulate", {"n_trials": True}),
+        ("simulate", {"n_trials": "2000"}),
     ],
 )
 def test_malformed_input_file_exits_one(tmp_path, capsys, command, payload):
@@ -255,3 +260,14 @@ def test_malformed_input_file_exits_one(tmp_path, capsys, command, payload):
     err = capsys.readouterr().err
     assert err.startswith("spinsphere: ") and "Traceback" not in err
     assert not out.exists()
+
+
+def test_torsion_check_redraws_generated_points_near_the_collar(tmp_path):
+    # seed 4 draws chi = 0.10016, which the 2h curvature stencil would carry into the collar
+    out = tmp_path / "t.json"
+    assert run(["torsion-check", "--n-points", "60", "--seed", "4", "--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert len(report["points"]) == 60
+    for record in report["points"]:
+        chi, theta, _ = record["point"]
+        assert min(chi, np.pi - chi, theta, np.pi - theta) >= 0.1 + 2e-4
