@@ -161,8 +161,9 @@ def variance_rhs(a, a_prime, b, b_prime, trials=None) -> VarianceBound:
     |CHSH| for the cosine correlator (see DECISIONS.md).  finite_n keeps
     the mean-orientation term: the leftover is a bivector whose scalar
     coefficient is |(a x a') x (b' x b)|, weighted by mean(lam) over the
-    supplied trials.  The finite-n value is reported, never asserted
-    against the string.
+    supplied trials.  It keeps idealized's literal orientation because it
+    is reported only, never asserted against the string, and equals
+    idealized for a balanced ensemble; DECISIONS.md has the analysis.
     """
     cross_a = np.cross(np.asarray(a, float), np.asarray(a_prime, float))
     cross_b = np.cross(np.asarray(b_prime, float), np.asarray(b, float))
@@ -348,7 +349,10 @@ def maximize_chsh(
     evaluation each, and stops at the grid stage: 1 degree of direction
     resolution is already far below the estimator's standard error, and
     the restart guard would re-estimate the string thousands of times for
-    no extra information.
+    no extra information.  Its argmax, the lowest tied grid string, is the
+    degenerate (0, 0, 180, 0) on every seed tried: a = a' = x-hat and
+    b = -x-hat make every per-trial string exactly 2, so only the Monte
+    Carlo value carries information.
     """
     if correlation_kind not in _KINDS:
         raise InvalidConfig(f"unknown correlation_kind {correlation_kind!r}")

@@ -157,16 +157,14 @@ def _torsion_points(args):
     seed = 20 if args.seed is None else args.seed
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     lo, hi = frames.COLLAR, np.pi - frames.COLLAR
-    # the stencils check points up to 2h away; frames refuses an h out of range
-    in_range = frames.STEP_RANGE[0] <= args.h <= frames.STEP_RANGE[1]
-    clearance = frames.COLLAR + (2.0 * args.h if in_range else 0.0)
     points = []
     while len(points) < args.n_points:
-        chi = rng.uniform(lo, hi)
-        theta = rng.uniform(lo, hi)
-        phi = rng.uniform(0.0, 2.0 * np.pi)
-        if min(chi, np.pi - chi, theta, np.pi - theta) >= clearance:
-            points.append((chi, theta, phi))
+        point = (rng.uniform(lo, hi), rng.uniform(lo, hi), rng.uniform(0.0, 2.0 * np.pi))
+        try:
+            frames.check_curvature_point(point, args.h)
+        except ChartDegeneracy:
+            continue
+        points.append(point)
     return points
 
 

@@ -8,9 +8,9 @@ curvature vanishes to finite-difference accuracy while the torsion does
 not.  A Levi-Civita control for the round metric (which has constant
 sectional curvature +1) guards against a trivially-zero test setup.
 
-All derivative estimates use five-point central stencils, O(h^4), so
-the default step 1e-4 keeps curvature residuals near 1e-7 even close
-to the admissible-region collars.
+All derivative estimates use five-point central stencils, O(h^4), each
+level one broadcast call over all its stencil points; the default step
+1e-4 keeps curvature residuals near 1e-7 even close to the collars.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ __all__ = [
     "weitzenbock_connection",
     "covariant_constancy_residual",
     "curvature_tensor",
+    "check_curvature_point",
     "torsion_tensor",
     "torsion_frame_components",
     "torsion_bivector_su2",
@@ -133,23 +134,24 @@ def flat_metric(frame: TangentFrame) -> np.ndarray:
     return frame.rows @ frame.rows.T
 
 
-def _gradient(f, x, h: float) -> np.ndarray:
-    """Five-point central derivatives along the three coordinates, on axis 0."""
-    return np.stack(
-        [
-            (-f(x + 2 * e) + 8 * f(x + e) - 8 * f(x - e) + f(x - 2 * e)) / (12 * h)
-            for e in h * np.eye(3)
-        ]
-    )
+# five-point stencil offsets in units of h: (3 axes, 4 taps, 3 coordinates)
+_OFFSETS = np.array([2.0, 1.0, -1.0, -2.0])[:, None] * np.eye(3)[:, None, :]
+
+
+def _gradient(f, x: np.ndarray, h: float) -> np.ndarray:
+    """Five-point central derivatives along the three coordinates, by one call of f."""
+    # f sees all 12 stencil points of every x; the derivative axis follows x's batch axes
+    f_taps = np.moveaxis(f(x[..., None, None, :] + h * _OFFSETS), x.ndim, 0)
+    return (-f_taps[0] + 8 * f_taps[1] - 8 * f_taps[2] + f_taps[3]) / (12 * h)
 
 
 def _riemann(gamma: np.ndarray, d_gamma: np.ndarray) -> np.ndarray:
     """R[sigma, alpha, mu, nu] from a connection and its gradient d_gamma[mu]."""
     return (
-        np.einsum("msna->samn", d_gamma)
-        - np.einsum("nsma->samn", d_gamma)
-        + np.einsum("lna,sml->samn", gamma, gamma)
-        - np.einsum("lma,snl->samn", gamma, gamma)
+        np.einsum("...msna->...samn", d_gamma)
+        - np.einsum("...nsma->...samn", d_gamma)
+        + np.einsum("...lna,...sml->...samn", gamma, gamma)
+        - np.einsum("...lma,...snl->...samn", gamma, gamma)
     )
 
 
@@ -157,6 +159,8 @@ def _check_point_step(chart_point, h: float) -> np.ndarray:
     x = np.asarray(chart_point, float)
     if x.shape != (3,):
         raise ChartDegeneracy("chart point must be (chi, theta, phi)")
+    if not np.isfinite(x).all():
+        raise ChartDegeneracy(f"point {tuple(x)} has a non-finite coordinate")
     chi, theta = x[0], x[1]
     chi_clear = min(abs(chi), abs(chi - np.pi), abs(chi - 2 * np.pi))
     theta_clear = min(abs(theta), abs(theta - np.pi))
@@ -169,18 +173,33 @@ def _check_point_step(chart_point, h: float) -> np.ndarray:
     return x
 
 
+def check_curvature_point(chart_point, h: float) -> np.ndarray:
+    """Curvature's point check: its stencil reaches 2h, so it needs COLLAR + 2h."""
+    x = _check_point_step(chart_point, h)
+    for y in (x + h * _OFFSETS).reshape(-1, 3):
+        _check_point_step(y, h)
+    return x
+
+
 def _embed(x: np.ndarray) -> np.ndarray:
-    return embed_round(x[0], x[1], x[2])
+    return np.moveaxis(embed_round(x[..., 0], x[..., 1], x[..., 2]), 0, -1)
 
 
 def _coframe(x: np.ndarray, h: float) -> np.ndarray:
-    """C[a, mu] = beta_a(q(x)) . d_mu q(x), chart Jacobian by stencil.
+    """C[..., a, mu] = beta_a(q(x)) . d_mu q(x), chart Jacobian by stencil.
 
     Differencing the embedding keeps the construction agnostic about
     the chart; nothing here assumes hyperspherical coordinates.
     """
-    rows = _LEFT_BIVECTOR @ _embed(x)
-    return rows @ _gradient(_embed, x, h).T
+    rows = np.einsum("akj,...j->...ak", _LEFT_BIVECTOR, _embed(x))
+    return rows @ np.swapaxes(_gradient(_embed, x, h), -1, -2)
+
+
+def _omega(x: np.ndarray, h: float) -> np.ndarray:
+    """omega[..., mu, nu, alpha] of the frame connection at unchecked points."""
+    Ci = np.linalg.inv(_coframe(x, h))
+    dC = _gradient(lambda y: _coframe(y, h), x, h)
+    return np.einsum("...ma,...nab->...mnb", Ci, dC)
 
 
 def weitzenbock_connection(chart_point, h: float = 1e-4) -> ConnectionCoefficients:
@@ -192,11 +211,7 @@ def weitzenbock_connection(chart_point, h: float = 1e-4) -> ConnectionCoefficien
     and the square coframe matrix is inverted directly).
     """
     x = _check_point_step(chart_point, h)
-    C = _coframe(x, h)
-    Ci = np.linalg.inv(C)
-    dC = _gradient(lambda y: _coframe(y, h), x, h)
-    omega = np.einsum("ma,nab->mnb", Ci, dC)
-    return ConnectionCoefficients(omega=omega, point=tuple(x), h=h)
+    return ConnectionCoefficients(omega=_omega(x, h), point=tuple(x), h=h)
 
 
 def covariant_constancy_residual(chart_point, h: float = 1e-4) -> float:
@@ -206,19 +221,15 @@ def covariant_constancy_residual(chart_point, h: float = 1e-4) -> float:
     inside weitzenbock_connection without amplifying rounding noise.
     """
     x = _check_point_step(chart_point, h)
-    conn = weitzenbock_connection(x, h)
-    C = _coframe(x, h)
     dC = _gradient(lambda y: _coframe(y, h), x, 2 * h)
-    resid = dC - np.einsum("am,mnb->nab", C, conn.omega)
+    resid = dC - np.einsum("am,mnb->nab", _coframe(x, h), _omega(x, h))
     return float(np.abs(resid).max())
 
 
 def curvature_tensor(chart_point, h: float = 1e-4) -> np.ndarray:
     """R[sigma, alpha, mu, nu] of the frame connection; zero up to stencil noise."""
-    x = _check_point_step(chart_point, h)
-    omega = weitzenbock_connection(x, h).omega
-    d_omega = _gradient(lambda y: weitzenbock_connection(y, h).omega, x, h)
-    return _riemann(omega, d_omega)
+    x = check_curvature_point(chart_point, h)
+    return _riemann(_omega(x, h), _gradient(lambda y: _omega(y, h), x, h))
 
 
 def torsion_tensor(chart_point, h: float = 1e-4) -> TorsionTensor:
@@ -272,17 +283,18 @@ def torsion_bivector_so3(a, b) -> np.ndarray:
 # would be differentiating nothing.
 
 def _round_metric(x: np.ndarray) -> np.ndarray:
-    chi, theta = x[0], x[1]
-    return np.diag([1.0, np.sin(chi) ** 2, (np.sin(chi) * np.sin(theta)) ** 2])
+    sin_chi = np.sin(x[..., 0])
+    diagonal = [np.ones_like(sin_chi), sin_chi**2, (sin_chi * np.sin(x[..., 1])) ** 2]
+    return np.stack(diagonal, axis=-1)[..., None] * np.eye(3)
 
 
 def _christoffel(x: np.ndarray, h: float) -> np.ndarray:
     g_inv = np.linalg.inv(_round_metric(x))
     dg = _gradient(_round_metric, x, h)
     return 0.5 * (
-        np.einsum("sl,mln->smn", g_inv, dg)
-        + np.einsum("sl,nlm->smn", g_inv, dg)
-        - np.einsum("sl,lmn->smn", g_inv, dg)
+        np.einsum("...sl,...mln->...smn", g_inv, dg)
+        + np.einsum("...sl,...nlm->...smn", g_inv, dg)
+        - np.einsum("...sl,...lmn->...smn", g_inv, dg)
     )
 
 
@@ -298,8 +310,5 @@ def round_metric_sectional(chart_point, h: float = 1e-4) -> np.ndarray:
     R = round_metric_curvature(x, h)
     g = _round_metric(x)
     R_low = np.einsum("ts,samn->tamn", g, R)
-    out = []
-    for m, n in ((0, 1), (0, 2), (1, 2)):
-        denom = g[m, m] * g[n, n] - g[m, n] ** 2
-        out.append(R_low[m, n, m, n] / denom)
-    return np.array(out)
+    m, n = np.array([0, 0, 1]), np.array([1, 2, 2])  # the three coordinate planes
+    return R_low[m, n, m, n] / (g[m, m] * g[n, n] - g[m, n] ** 2)

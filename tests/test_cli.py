@@ -271,3 +271,18 @@ def test_torsion_check_redraws_generated_points_near_the_collar(tmp_path):
     for record in report["points"]:
         chi, theta, _ = record["point"]
         assert min(chi, np.pi - chi, theta, np.pi - theta) >= 0.1 + 2e-4
+
+
+@pytest.mark.parametrize("coordinate", [0, 1, 2])
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_torsion_check_non_finite_point_exits_three(tmp_path, capsys, coordinate, value):
+    # json reads these literals as floats; NaN fails every collar comparison
+    point = ["1.0", "1.2", "0.8"]
+    point[coordinate] = value
+    points = tmp_path / "pts.json"
+    points.write_text(f"[[{', '.join(point)}]]")
+    out = tmp_path / "t.json"
+    assert run(["torsion-check", str(points), "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("spinsphere: ") and "Traceback" not in err
+    assert not out.exists()

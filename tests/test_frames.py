@@ -193,3 +193,69 @@ def test_curvature_random_points_small_sample():
         point = random_admissible_point()
         assert np.abs(frames.curvature_tensor(point)).max() < 1e-5
         assert np.abs(frames.torsion_tensor(point).components).max() > 1e-3
+
+
+def test_connection_rejects_non_finite_point():
+    with pytest.raises(ChartDegeneracy):
+        frames.weitzenbock_connection((np.nan, 1.2, 0.8))
+
+
+def embed_jacobian(chi, theta, phi):
+    """Closed-form rows dY/dchi, dY/dtheta, dY/dphi of geometry.embed_round."""
+    sc, cc, st, ct = np.sin(chi), np.cos(chi), np.sin(theta), np.cos(theta)
+    sp, cp = np.sin(phi), np.cos(phi)
+    return np.stack(
+        [
+            [-sc, cc * st * cp, cc * st * sp, cc * ct],
+            [np.zeros_like(sc), sc * ct * cp, sc * ct * sp, -sc * st],
+            [np.zeros_like(sc), -sc * st * sp, sc * st * cp, np.zeros_like(sc)],
+        ]
+    )
+
+
+def test_batched_stencil_matches_closed_form_jacobian_and_single_points():
+    rng = np.random.Generator(np.random.Philox(key=71))
+    lo, hi = frames.COLLAR, np.pi - frames.COLLAR
+    X = np.stack(
+        [rng.uniform(lo, hi, 40), rng.uniform(lo, hi, 40), rng.uniform(0, 2 * np.pi, 40)],
+        axis=-1,
+    ).reshape(5, 8, 3)
+    h = 1e-4
+    grad = frames._gradient(frames._embed, X, h)
+    assert grad.shape == (5, 8, 3, 4)
+    want = np.moveaxis(embed_jacobian(X[..., 0], X[..., 1], X[..., 2]), (0, 1), (-2, -1))
+    assert np.abs(grad - want).max() < 1e-9
+    for index in np.ndindex(X.shape[:-1]):
+        assert np.array_equal(grad[index], frames._gradient(frames._embed, X[index], h))
+
+
+def test_one_broadcast_call_per_derivative_level(monkeypatch):
+    calls = []
+    embed = geometry.embed_round
+
+    def counted(*args):
+        calls.append(1)
+        return embed(*args)
+
+    monkeypatch.setattr(frames, "embed_round", counted)
+    frames.curvature_tensor(POINT)
+    assert 0 < len(calls) <= 20
+    calls.clear()
+    frames.torsion_tensor(POINT)
+    assert 0 < len(calls) <= 10
+
+
+def test_curvature_needs_two_steps_of_collar_clearance():
+    h = 1e-4
+    near = (frames.COLLAR + h, 1.2, 0.8)
+    frames.weitzenbock_connection(near, h)
+    frames.torsion_tensor(near, h)
+    with pytest.raises(ChartDegeneracy):
+        frames.curvature_tensor(near, h)
+    clear = (frames.COLLAR + 3 * h, 1.2, 0.8)
+    frames.weitzenbock_connection(clear, h)
+    frames.torsion_tensor(clear, h)
+    frames.curvature_tensor(clear, h)
+    # the step is refused before the stencil's reach is checked
+    with pytest.raises(StepOutOfRange):
+        frames.curvature_tensor((frames.COLLAR + 1e-2, 1.2, 0.8), 1e-2)
