@@ -4,12 +4,14 @@ The string E(a,b) + E(a,b') + E(a',b) - E(a',b') is evaluated for three
 correlators: the smooth cosine law, the quotient saw, and
 spin.raw_correlation on a fixed ensemble redraw-checked against x-hat,
 the setting a of every grid string.  The maximizer runs a coplanar
-1-degree grid over a table of E between every two grid directions (the
-cosine optimum is coplanar; a full-sphere random-restart pass
-double-checks that), then refines the closed forms by coordinate
-descent.  The Monte Carlo table holds exact integer sums of per-trial
-products, so every grid string it reports is the ensemble mean of
-per-trial strings and never exceeds the local bound of 2.  The classic
+1-degree grid over a table of E between every two grid directions, then
+refines the closed forms by coordinate descent.  The cosine optimum is
+coplanar; a full-sphere guard double-checks that by ascending 100
+random quadruples at once, in one L-BFGS-B run on the analytic gradient
+of each law in the dot products.  The Monte Carlo table holds exact
+integer sums of per-trial products, so every grid string it reports is
+the ensemble mean of per-trial strings and never exceeds the local
+bound of 2.  The classic
 maximum for the cosine correlator is 2 sqrt(2) at (0, 90, 225, 135)
 degrees; the saw correlator tops out at 2, already on degenerate
 quadruples.
@@ -52,7 +54,7 @@ TSIRELSON_BOUND = 2.0 * np.sqrt(2.0)
 GRID_STEP_DEG = 1.0  # coplanar grid and correlation table resolution
 EDGE_TOL_DEG = 1e-9  # azimuths this close to a grid direction take the dot-product path
 REFINE_TOL_RAD = 1e-4  # coordinate descent stops below this step
-RESTARTS = 100  # Nelder-Mead runs in the full-sphere guard
+RESTARTS = 100  # full-sphere starts in the guard
 
 _KINDS = ("su2_cosine", "so3_saw", "monte_carlo")
 
@@ -83,12 +85,18 @@ class ChshConfig:
 
 @dataclass
 class BoundReport:
-    """Search outcome: the found maximum against the global bound."""
+    """Search outcome: the found maximum against the global bound.
+
+    stage names the search stage that produced chsh_value: "grid",
+    "descent" or "guard".  angles_deg is None when the guard wins, since
+    its directions leave the xy plane.
+    """
 
     chsh_value: float
     rhs_bound: float
     directions: tuple
     angles_deg: Optional[tuple] = None
+    stage: str = "grid"
 
 
 @dataclass
@@ -289,53 +297,78 @@ def _coordinate_descent(correlator, angles_rad, tol_rad: float, budget: _Budget)
     return value, angles
 
 
-def _random_restart_guard(correlator, coplanar_value, restarts, seed, budget):
-    """Full-sphere Nelder-Mead restarts; returns a better quadruple if found.
+def _cosine_law(x):
+    """The cosine law on dot products x = a.b: E = -x and dE/dx = -1."""
+    return -x, np.full_like(x, -1.0)
 
-    Parameterizes each direction by polar and azimuthal angles (8
-    parameters total) so the coplanarity assumption of the grid stage
-    gets an independent chance to fail.
+
+def _saw_law(x):
+    """The saw on dot products x = a.b: E = -1 + 2 eta / pi, eta = arccos x, and dE/dx.
+
+    dE/dx = -2 / (pi sin eta), with sin eta clamped away from 0 at the
+    kinks eta in {0, pi}.  Projected onto a tangent the gradient stays
+    bounded, since |b - (a.b) a| = sin eta.
+    """
+    x = np.clip(x, -1.0, 1.0)
+    sin_eta = np.maximum(np.sqrt((1.0 - x) * (1.0 + x)), np.finfo(float).eps)
+    return -1.0 + 2.0 * np.arccos(x) / np.pi, -2.0 / (np.pi * sin_eta)
+
+
+_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0]])  # string signs of E(a|a', b|b')
+
+
+def _guard_objective(law, v):
+    """|CHSH| of each quadruple v (restarts, 4, 3) of free vectors, and its gradient.
+
+    Setting k is the direction v_k / |v_k|.  The gradient flows through
+    the law's slope in each dot product, is projected onto the tangent
+    of each v_k and divided by |v_k|.
+    """
+    norm = np.linalg.norm(v, axis=-1, keepdims=True)
+    u = v / norm
+    a, b = u[:, :2], u[:, 2:]
+    value, slope = law(np.einsum("rik,rjk->rij", a, b))
+    string = (_SIGNS * value).sum(axis=(1, 2))
+    weight = np.sign(string)[:, None, None] * _SIGNS * slope
+    grad = np.concatenate(
+        [np.einsum("rij,rjk->rik", weight, b), np.einsum("rij,rik->rjk", weight, a)], axis=1
+    )
+    grad -= (grad * u).sum(axis=-1, keepdims=True) * u
+    return np.abs(string), grad / norm
+
+
+def _random_restart_guard(correlator, coplanar_value, restarts, seed, budget, law):
+    """Full-sphere restarts ascended together; returns a better quadruple if found.
+
+    The restarts start from uniform polar and azimuthal angles, so the
+    grid's coplanarity assumption gets an independent chance to fail.
+    One L-BFGS-B run maximizes their mean |CHSH|, which is separable, on
+    the analytic gradient of law, charged 4 per restart per evaluation.
+    The best restart, re-evaluated by the scalar correlator, wins only
+    if it beats coplanar_value by more than 1e-6.
     """
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    uniform = rng.random((int(restarts), 2, 4))  # theta then phi, per restart
+    theta, phi = np.pi * uniform[:, 0], 2.0 * np.pi * uniform[:, 1]
+    start = np.stack(
+        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=-1
+    )
 
-    def to_directions(params):
-        out = []
-        for k in range(4):
-            theta, phi = params[2 * k], params[2 * k + 1]
-            out.append(
-                np.array(
-                    [
-                        np.sin(theta) * np.cos(phi),
-                        np.sin(theta) * np.sin(phi),
-                        np.cos(theta),
-                    ]
-                )
-            )
-        return out
+    def batch(flat):
+        budget.spend(4 * len(start))
+        return _guard_objective(law, flat.reshape(start.shape))
 
-    def negative_abs(params):
-        budget.spend(4)
-        return -abs(_string(correlator, *to_directions(params)))
+    def negative_mean(flat):
+        values, grad = batch(flat)
+        return -values.mean(), -grad.ravel() / len(start)
 
-    best_value, best_directions = -np.inf, None
-    for _ in range(int(restarts)):
-        start = np.concatenate(
-            [
-                rng.uniform(0.0, np.pi, size=4)[:, None],
-                rng.uniform(0.0, 2 * np.pi, size=4)[:, None],
-            ],
-            axis=1,
-        ).ravel()
-        result = minimize(
-            negative_abs,
-            start,
-            method="Nelder-Mead",
-            options={"xatol": 1e-6, "fatol": 1e-10, "maxiter": 800},
-        )
-        if -result.fun > best_value:
-            best_value, best_directions = -result.fun, to_directions(result.x)
+    result = minimize(negative_mean, start.ravel(), jac=True, method="L-BFGS-B")
+    best = result.x.reshape(start.shape)[np.argmax(batch(result.x)[0])]
+    directions = list(best / np.linalg.norm(best, axis=-1, keepdims=True))
+    budget.spend(4)
+    best_value = abs(_string(correlator, *directions))
     if best_value > coplanar_value + 1e-6:
-        return best_value, best_directions
+        return best_value, directions
     return None
 
 
@@ -368,9 +401,10 @@ def maximize_chsh(
         )
         table = _planar_count_table(ensemble)
     else:
-        correlator = {"su2_cosine": su2_cosine_correlator, "so3_saw": so3_saw_correlator}[
-            correlation_kind
-        ]
+        correlator, law = {
+            "su2_cosine": (su2_cosine_correlator, _cosine_law),
+            "so3_saw": (so3_saw_correlator, _saw_law),
+        }[correlation_kind]
         relative = _relative_angle_table(correlator, GRID_STEP_DEG, budget)
         # the laws depend on the separation angle only, so the table is the
         # circulant table[u, v] = relative[(v - u) % count], here a view
@@ -380,18 +414,20 @@ def maximize_chsh(
     grid_value, u, v, w = _coplanar_grid_max(table)
     angles = np.radians(np.array([0.0, u, v, w]) * GRID_STEP_DEG)
 
+    stage = "grid"
     if correlation_kind == "monte_carlo":
         value = grid_value / len(ensemble)  # |sum of per-trial strings| <= 2 n
     else:
         value, angles = _coordinate_descent(correlator, angles, REFINE_TOL_RAD, budget)
-        guard = _random_restart_guard(correlator, value, RESTARTS, cfg.seed, budget)
+        stage = "descent"
+        guard = _random_restart_guard(correlator, value, RESTARTS, cfg.seed, budget, law)
         if guard is not None:
             best_value, directions = guard
             return BoundReport(
                 chsh_value=float(best_value),
                 rhs_bound=float(TSIRELSON_BOUND),
                 directions=tuple(directions),
-                angles_deg=None,
+                stage="guard",
             )
 
     directions = tuple(_planar_direction(t) for t in angles)
@@ -400,4 +436,5 @@ def maximize_chsh(
         rhs_bound=float(TSIRELSON_BOUND),
         directions=directions,
         angles_deg=tuple(float(np.degrees(t)) for t in angles),
+        stage=stage,
     )

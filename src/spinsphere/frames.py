@@ -160,13 +160,13 @@ def _check_point_step(chart_point, h: float) -> np.ndarray:
     if x.shape != (3,):
         raise ChartDegeneracy("chart point must be (chi, theta, phi)")
     if not np.isfinite(x).all():
-        raise ChartDegeneracy(f"point {tuple(x)} has a non-finite coordinate")
+        raise ChartDegeneracy(f"point {tuple(x.tolist())} has a non-finite coordinate")
     chi, theta = x[0], x[1]
     chi_clear = min(abs(chi), abs(chi - np.pi), abs(chi - 2 * np.pi))
     theta_clear = min(abs(theta), abs(theta - np.pi))
     if chi_clear < COLLAR or theta_clear < COLLAR:
         raise ChartDegeneracy(
-            f"point {tuple(x)} is inside the {COLLAR}-rad degeneracy collar"
+            f"point {tuple(x.tolist())} is inside the {COLLAR}-rad degeneracy collar"
         )
     if not STEP_RANGE[0] <= h <= STEP_RANGE[1]:
         raise StepOutOfRange(f"step {h} outside {STEP_RANGE}")

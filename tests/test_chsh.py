@@ -278,3 +278,111 @@ def test_monte_carlo_count_table_rounds_grid_azimuths_like_the_estimator():
     for i in rng.integers(0, 360, size=12):
         row = [spin.raw_correlation(trials, planar(i), planar(j))[0] for j in range(360)]
         assert np.array_equal(table[i] / 2000, row)
+
+
+CLOSED_FORMS = [
+    ("su2_cosine", chsh.su2_cosine_correlator, chsh._cosine_law, 2 * SQRT2),
+    ("so3_saw", chsh.so3_saw_correlator, chsh._saw_law, 2.0),
+]
+
+
+def test_search_reports_the_stage_of_its_maximum():
+    assert chsh.maximize_chsh("su2_cosine").stage == "descent"
+    assert chsh.maximize_chsh("so3_saw").stage == "descent"
+    report = chsh.maximize_chsh("monte_carlo", chsh.OptimizerConfig(mc_trials=1000))
+    assert report.stage == "grid"
+
+
+@pytest.mark.parametrize("kind, correlator, law, top", CLOSED_FORMS)
+@pytest.mark.parametrize("seed", [1, 2, 7, 2026])
+def test_guard_reaches_the_closed_form_maximum(kind, correlator, law, top, seed):
+    budget = chsh._Budget(10**9)
+    value, directions = chsh._random_restart_guard(
+        correlator, top - 1e-5, chsh.RESTARTS, seed, budget, law
+    )
+    assert abs(value - top) <= 1e-9
+    assert abs(chsh.chsh_string(chsh.ChshConfig(*directions), correlator)) == value
+    assert chsh._random_restart_guard(correlator, top, chsh.RESTARTS, seed, budget, law) is None
+
+
+@pytest.mark.parametrize("kind, correlator, law, top", CLOSED_FORMS)
+def test_search_reports_the_guard_stage_when_it_wins(monkeypatch, kind, correlator, law, top):
+    descent = chsh._coordinate_descent
+
+    def short_descent(*args):
+        value, angles = descent(*args)
+        return value - 1e-5, angles
+
+    monkeypatch.setattr(chsh, "_coordinate_descent", short_descent)
+    report = chsh.maximize_chsh(kind)
+    assert report.stage == "guard"
+    assert report.angles_deg is None
+    assert abs(report.chsh_value - top) <= 1e-9
+
+
+@pytest.mark.parametrize("kind", ["su2_cosine", "so3_saw"])
+def test_closed_form_search_makes_one_minimize_call(monkeypatch, kind):
+    calls = []
+    minimize = chsh.minimize
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("method"))
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(chsh, "minimize", counted)
+    chsh.maximize_chsh(kind)
+    assert calls == ["L-BFGS-B"]
+
+
+@pytest.mark.parametrize("kind, correlator, law, top", CLOSED_FORMS)
+def test_guard_gradient_matches_central_differences(kind, correlator, law, top):
+    rng = np.random.default_rng(13)
+    quadruples = []
+    while len(quadruples) < 20:
+        v = rng.normal(size=(4, 3))
+        u = v / np.linalg.norm(v, axis=1, keepdims=True)
+        if np.abs(u[:2] @ u[2:].T).max() < 0.99:  # away from the saw's kinks
+            quadruples.append(v)
+    v = np.array(quadruples)
+    values, grad = chsh._guard_objective(law, v)
+
+    def abs_string(w):
+        return abs(chsh._string(correlator, *(w / np.linalg.norm(w, axis=1, keepdims=True))))
+
+    h = 1e-6
+    for r in range(len(v)):
+        assert abs(values[r] - abs_string(v[r])) < 1e-12
+        for k in range(4):
+            for i in range(3):
+                step = np.zeros((4, 3))
+                step[k, i] = h
+                numeric = (abs_string(v[r] + step) - abs_string(v[r] - step)) / (2 * h)
+                assert abs(grad[r, k, i] - numeric) < 1e-6
+
+
+def test_guard_charges_its_budget_inside_minimize(monkeypatch):
+    spent = []
+
+    def record(correlator, coplanar_value, restarts, seed, budget, law):
+        spent.append(budget.spent)
+
+    monkeypatch.setattr(chsh, "_random_restart_guard", record)
+    chsh.maximize_chsh("su2_cosine")
+    monkeypatch.undo()
+
+    raised = []
+    minimize = chsh.minimize
+
+    def watched(*args, **kwargs):
+        try:
+            return minimize(*args, **kwargs)
+        except OptimizerBudgetExceeded:
+            raised.append(True)
+            raise
+
+    monkeypatch.setattr(chsh, "minimize", watched)
+    # covers the table and the descent, but not one evaluation of all restarts
+    config = chsh.OptimizerConfig(budget=spent[0] + 4 * chsh.RESTARTS - 1)
+    with pytest.raises(OptimizerBudgetExceeded):
+        chsh.maximize_chsh("su2_cosine", config)
+    assert raised == [True]

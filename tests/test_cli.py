@@ -286,3 +286,17 @@ def test_torsion_check_non_finite_point_exits_three(tmp_path, capsys, coordinate
     err = capsys.readouterr().err
     assert err.startswith("spinsphere: ") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "point, message",
+    [
+        ("[[0.05, 1.2, 0.8]]", "point (0.05, 1.2, 0.8) is inside the 0.1-rad degeneracy collar"),
+        ("[[NaN, 1.2, 0.8]]", "point (nan, 1.2, 0.8) has a non-finite coordinate"),
+    ],
+)
+def test_torsion_check_point_messages_print_plain_numbers(tmp_path, capsys, point, message):
+    points = tmp_path / "pts.json"
+    points.write_text(point)
+    assert run(["torsion-check", str(points), "--output", str(tmp_path / "t.json")]) == 3
+    assert capsys.readouterr().err == f"spinsphere: {message}\n"
