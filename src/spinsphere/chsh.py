@@ -4,17 +4,16 @@ The string E(a,b) + E(a,b') + E(a',b) - E(a',b') is evaluated for three
 correlators: the smooth cosine law, the quotient saw, and
 spin.raw_correlation on a fixed ensemble redraw-checked against x-hat,
 the setting a of every grid string.  The maximizer runs a coplanar
-1-degree grid over a table of E between every two grid directions, then
-refines the closed forms by coordinate descent.  The cosine optimum is
-coplanar; a full-sphere guard double-checks that by ascending 100
-random quadruples at once, in one L-BFGS-B run on the analytic gradient
-of each law in the dot products.  The Monte Carlo table holds exact
-integer sums of per-trial products, so every grid string it reports is
-the ensemble mean of per-trial strings and never exceeds the local
-bound of 2.  The classic
-maximum for the cosine correlator is 2 sqrt(2) at (0, 90, 225, 135)
-degrees; the saw correlator tops out at 2, already on degenerate
-quadruples.
+1-degree grid over a table of E between every two grid directions.  For
+the closed forms a full-sphere guard then checks the grid's coplanarity
+assumption by ascending 100 random quadruples at once, in one L-BFGS-B
+run on the analytic gradient of each law in the dot products; its
+quadruple is reported only if it beats the grid.  The Monte Carlo table
+holds exact integer sums of per-trial products, so every grid string it
+reports is the ensemble mean of per-trial strings and never exceeds the
+local bound of 2.  The classic maximum for the cosine correlator is
+2 sqrt(2) at (0, 90, 225, 135) degrees; the saw correlator tops out at
+2, already on degenerate quadruples.
 
 The two stations' scores are kept in separate algebra copies: a string
 evaluation never multiplies an a-side element by a b-side element, so
@@ -53,7 +52,7 @@ __all__ = [
 TSIRELSON_BOUND = 2.0 * np.sqrt(2.0)
 GRID_STEP_DEG = 1.0  # coplanar grid and correlation table resolution
 EDGE_TOL_DEG = 1e-9  # azimuths this close to a grid direction take the dot-product path
-REFINE_TOL_RAD = 1e-4  # coordinate descent stops below this step
+TIE_MARGIN = 1e-12  # a grid string replaces the best only above best + TIE_MARGIN
 RESTARTS = 100  # full-sphere starts in the guard
 
 _KINDS = ("su2_cosine", "so3_saw", "monte_carlo")
@@ -87,9 +86,9 @@ class ChshConfig:
 class BoundReport:
     """Search outcome: the found maximum against the global bound.
 
-    stage names the search stage that produced chsh_value: "grid",
-    "descent" or "guard".  angles_deg is None when the guard wins, since
-    its directions leave the xy plane.
+    stage names the search stage that produced chsh_value: "grid" or
+    "guard".  angles_deg is None when the guard wins, since its
+    directions leave the xy plane.
     """
 
     chsh_value: float
@@ -132,7 +131,10 @@ def monte_carlo_correlator(trials):
 
 
 def _string(correlator, a, a_prime, b, b_prime) -> float:
-    """E(a,b) + E(a,b') + E(a',b) - E(a',b'); every CHSH evaluation sums here."""
+    """E(a,b) + E(a,b') + E(a',b) - E(a',b'), the evaluator of every reported value.
+
+    The grid and the guard sum batched strings of their own.
+    """
     return (
         correlator(a, b)
         + correlator(a, b_prime)
@@ -207,17 +209,6 @@ def _planar_direction(angle_rad: float) -> np.ndarray:
     return np.array([np.cos(angle_rad), np.sin(angle_rad), 0.0])
 
 
-def _relative_angle_table(correlator, step_deg: float, budget: _Budget) -> np.ndarray:
-    """E between x-hat and the planar direction d steps from it, d = 0 .. 360/step - 1."""
-    count = int(round(360.0 / step_deg))
-    base = _planar_direction(0.0)
-    table = np.empty(count)
-    for d in range(count):
-        budget.spend()
-        table[d] = correlator(base, _planar_direction(np.radians(d * step_deg)))
-    return table
-
-
 def _planar_count_table(trials) -> np.ndarray:
     """C[i, j] = sum over trials of sign(s.d_i) sign(-s.d_j), d_k = k grid steps.
 
@@ -254,8 +245,8 @@ def _coplanar_grid_max(table: np.ndarray):
     table[i, j] is E (or an integer count) between grid directions i and
     j.  With A = table[0] + table[u] and B = table[0] - table[u] the
     string at (0, u, v, w) is A[v] + B[w], so each u needs only the
-    extrema of A and B.  Ties keep the lowest (u, v, w) thanks to strict
-    improvement and argmax's first-hit rule.
+    extrema of A and B.  Ties, rounding noise included, keep the lowest
+    (u, v, w): argmax hits first, and a new best must clear TIE_MARGIN.
     """
     best = (-1.0, 0, 0, 0)
     for u in range(table.shape[0]):
@@ -266,35 +257,9 @@ def _coplanar_grid_max(table: np.ndarray):
         hi = A[v_hi] + B[w_hi]
         lo = A[v_lo] + B[w_lo]
         for value, v, w in ((abs(hi), v_hi, w_hi), (abs(lo), v_lo, w_lo)):
-            if value > best[0] + 1e-15:
+            if value > best[0] + TIE_MARGIN:
                 best = (value, u, v, w)
     return best
-
-
-def _coordinate_descent(correlator, angles_rad, tol_rad: float, budget: _Budget):
-    """Shrinking-step descent on the three free coplanar angles."""
-
-    def abs_string(angles):
-        budget.spend(4)
-        return abs(_string(correlator, *(_planar_direction(t) for t in angles)))
-
-    angles = np.array(angles_rad, float)
-    value = abs_string(angles)
-    step = np.radians(0.5)
-    while step >= tol_rad:
-        improved = True
-        while improved:
-            improved = False
-            for k in (1, 2, 3):
-                for sign in (1.0, -1.0):
-                    trial = angles.copy()
-                    trial[k] += sign * step
-                    trial_value = abs_string(trial)
-                    if trial_value > value + 1e-15:
-                        angles, value = trial, trial_value
-                        improved = True
-        step /= 2.0
-    return value, angles
 
 
 def _cosine_law(x):
@@ -377,23 +342,25 @@ def maximize_chsh(
 ) -> BoundReport:
     """Search for the largest |CHSH| under the named correlator.
 
-    Deterministic given the optimizer config.  The Monte Carlo kind
-    counts every grid table entry on a fixed seeded ensemble, one budget
-    evaluation each, and stops at the grid stage: 1 degree of direction
-    resolution is already far below the estimator's standard error, and
-    the restart guard would re-estimate the string thousands of times for
-    no extra information.  Its argmax, the lowest tied grid string, is the
-    degenerate (0, 0, 180, 0) on every seed tried: a = a' = x-hat and
-    b = -x-hat make every per-trial string exactly 2, so only the Monte
-    Carlo value carries information.
+    Deterministic given the optimizer config.  The closed forms report
+    the scalar string at the grid argmax unless the restart guard beats
+    it by more than 1e-6.  The Monte Carlo kind counts every grid table
+    entry on a fixed seeded ensemble, one budget evaluation each, and
+    stops at the grid stage: 1 degree of direction resolution is already
+    far below the estimator's standard error, and the restart guard would
+    re-estimate the string thousands of times for no extra information.
+    Its argmax, the lowest tied grid string, is the degenerate
+    (0, 0, 180, 0) on every seed tried: a = a' = x-hat and b = -x-hat
+    make every per-trial string exactly 2, so only the Monte Carlo value
+    carries information.
     """
     if correlation_kind not in _KINDS:
         raise InvalidConfig(f"unknown correlation_kind {correlation_kind!r}")
     cfg = optimizer_config or OptimizerConfig()
     budget = _Budget(cfg.budget)
+    count = int(round(360.0 / GRID_STEP_DEG))
 
     if correlation_kind == "monte_carlo":
-        count = int(round(360.0 / GRID_STEP_DEG))
         budget.spend(count * count)
         x_hat = _planar_direction(0.0)  # a of every grid string; redraw-check it
         ensemble = simulate_ensemble(
@@ -405,36 +372,32 @@ def maximize_chsh(
             "su2_cosine": (su2_cosine_correlator, _cosine_law),
             "so3_saw": (so3_saw_correlator, _saw_law),
         }[correlation_kind]
-        relative = _relative_angle_table(correlator, GRID_STEP_DEG, budget)
-        # the laws depend on the separation angle only, so the table is the
+        budget.spend(count)
+        # E between x-hat and the planar direction d steps away; the laws
+        # depend on the separation angle only, so the table is the
         # circulant table[u, v] = relative[(v - u) % count], here a view
-        count = relative.size
+        relative = law(np.cos(np.radians(np.arange(count) * GRID_STEP_DEG)))[0]
         windows = np.lib.stride_tricks.sliding_window_view(np.tile(relative, 2), count)
         table = windows[count:0:-1]
     grid_value, u, v, w = _coplanar_grid_max(table)
     angles = np.radians(np.array([0.0, u, v, w]) * GRID_STEP_DEG)
+    directions = tuple(_planar_direction(t) for t in angles)
 
-    stage = "grid"
     if correlation_kind == "monte_carlo":
         value = grid_value / len(ensemble)  # |sum of per-trial strings| <= 2 n
     else:
-        value, angles = _coordinate_descent(correlator, angles, REFINE_TOL_RAD, budget)
-        stage = "descent"
+        budget.spend(4)
+        value = abs(_string(correlator, *directions))
         guard = _random_restart_guard(correlator, value, RESTARTS, cfg.seed, budget, law)
         if guard is not None:
-            best_value, directions = guard
+            value, directions = guard
             return BoundReport(
-                chsh_value=float(best_value),
-                rhs_bound=float(TSIRELSON_BOUND),
-                directions=tuple(directions),
-                stage="guard",
+                float(value), float(TSIRELSON_BOUND), tuple(directions), stage="guard"
             )
 
-    directions = tuple(_planar_direction(t) for t in angles)
     return BoundReport(
         chsh_value=float(value),
         rhs_bound=float(TSIRELSON_BOUND),
         directions=directions,
         angles_deg=tuple(float(np.degrees(t)) for t in angles),
-        stage=stage,
     )

@@ -272,7 +272,7 @@ def build_parser() -> _Parser:
         choices=("su2_cosine", "so3_saw", "monte_carlo"),
         default="su2_cosine",
     )
-    p.add_argument("--budget", type=int, default=5_000_000)
+    p.add_argument("--budget", type=_positive_int, default=5_000_000)
     p.set_defaults(func=cmd_chsh, default_format="json")
 
     return parser

@@ -287,10 +287,27 @@ CLOSED_FORMS = [
 
 
 def test_search_reports_the_stage_of_its_maximum():
-    assert chsh.maximize_chsh("su2_cosine").stage == "descent"
-    assert chsh.maximize_chsh("so3_saw").stage == "descent"
+    assert chsh.maximize_chsh("su2_cosine").stage == "grid"
+    assert chsh.maximize_chsh("so3_saw").stage == "grid"
     report = chsh.maximize_chsh("monte_carlo", chsh.OptimizerConfig(mc_trials=1000))
     assert report.stage == "grid"
+
+
+@pytest.mark.parametrize("kind, correlator, law, top", CLOSED_FORMS)
+def test_law_table_matches_the_scalar_correlator(monkeypatch, kind, correlator, law, top):
+    tables = []
+    grid_max = chsh._coplanar_grid_max
+
+    def capture(table):
+        tables.append(table)
+        return grid_max(table)
+
+    monkeypatch.setattr(chsh, "_coplanar_grid_max", capture)
+    chsh.maximize_chsh(kind)
+    (table,) = tables
+    assert np.array_equal(table[0], [correlator(E1, planar(d)) for d in range(360)])
+    for u in (1, 90, 359):
+        assert np.array_equal(table[u], np.roll(table[0], u))
 
 
 @pytest.mark.parametrize("kind, correlator, law, top", CLOSED_FORMS)
@@ -307,13 +324,12 @@ def test_guard_reaches_the_closed_form_maximum(kind, correlator, law, top, seed)
 
 @pytest.mark.parametrize("kind, correlator, law, top", CLOSED_FORMS)
 def test_search_reports_the_guard_stage_when_it_wins(monkeypatch, kind, correlator, law, top):
-    descent = chsh._coordinate_descent
+    guard = chsh._random_restart_guard
 
-    def short_descent(*args):
-        value, angles = descent(*args)
-        return value - 1e-5, angles
+    def short_threshold(scalar, coplanar_value, *args):
+        return guard(scalar, coplanar_value - 1e-5, *args)
 
-    monkeypatch.setattr(chsh, "_coordinate_descent", short_descent)
+    monkeypatch.setattr(chsh, "_random_restart_guard", short_threshold)
     report = chsh.maximize_chsh(kind)
     assert report.stage == "guard"
     assert report.angles_deg is None
@@ -381,7 +397,7 @@ def test_guard_charges_its_budget_inside_minimize(monkeypatch):
             raise
 
     monkeypatch.setattr(chsh, "minimize", watched)
-    # covers the table and the descent, but not one evaluation of all restarts
+    # covers the table and the grid value, but not one evaluation of all restarts
     config = chsh.OptimizerConfig(budget=spent[0] + 4 * chsh.RESTARTS - 1)
     with pytest.raises(OptimizerBudgetExceeded):
         chsh.maximize_chsh("su2_cosine", config)

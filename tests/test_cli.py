@@ -188,6 +188,28 @@ def test_chsh_budget_flag(tmp_path):
     assert run(["chsh", "--budget", "10", "--output", str(out)]) == 1
 
 
+@pytest.mark.parametrize("seed", ["1", "7", "2026"])
+@pytest.mark.parametrize(
+    "kind, value, degrees",
+    [("su2_cosine", 2.8284271247461903, [0.0, 90.0, 225.0, 135.0]),
+     ("so3_saw", 2.0, [0.0, 0.0, 180.0, 0.0])],
+)
+def test_chsh_closed_form_bytes(tmp_path, seed, kind, value, degrees):
+    out = tmp_path / "c.json"
+    assert run(["chsh", "--kind", kind, "--seed", seed, "--output", str(out)]) == 0
+    payload = {"kind": kind, "max_abs_chsh": value, "argmax_degrees": degrees,
+               "bound": 2.8284271247461903}
+    assert out.read_text() == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_chsh_budget_must_be_positive(tmp_path, capsys, value):
+    out = tmp_path / "c.json"
+    assert run(["chsh", "--budget", value, "--output", str(out)]) == 1
+    assert "--budget: must be a positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_flags_accepted_before_subcommand(tmp_path):
     before = tmp_path / "before.csv"
     after = tmp_path / "after.csv"

@@ -1,0 +1,17 @@
+"""The README's library example runs and prints the stage its comment names."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_library_example_prints_the_documented_stage():
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    (documented,) = re.findall(r'# stage: "(\w+)"', block)
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(compile(block, str(README), "exec"), {})
+    assert printed.getvalue().splitlines()[-1].split()[-1] == documented
