@@ -193,6 +193,9 @@ def variance_rhs(a, a_prime, b, b_prime, trials=None) -> VarianceBound:
 
 
 class _Budget:
+    """Budget units: one per correlator value, whether it comes from a
+    scalar call, an entry of a batched law or an entry of a count table."""
+
     def __init__(self, limit: int):
         self.limit = int(limit)
         self.spent = 0
@@ -200,9 +203,7 @@ class _Budget:
     def spend(self, k: int = 1):
         self.spent += k
         if self.spent > self.limit:
-            raise OptimizerBudgetExceeded(
-                f"exceeded {self.limit} correlator evaluations"
-            )
+            raise OptimizerBudgetExceeded(f"exceeded {self.limit} budget units")
 
 
 def _planar_direction(angle_rad: float) -> np.ndarray:

@@ -27,7 +27,7 @@ from .errors import (
     SpinsphereError,
     StepOutOfRange,
 )
-from .geometry import separation_angle, so3_distance, su2_distance
+from .geometry import so3_distance, su2_distance
 
 EXIT_OK = 0
 EXIT_ARGS = 1
@@ -124,10 +124,10 @@ def cmd_simulate(args) -> int:
     config = _load_experiment_config(args.config, args.seed)
     results = spin.correlation_curve(config, threads=args.threads)
     rows = []
-    for res in results:
+    for eta_deg, res in zip(config.pair_degrees(), results):
         rows.append(
             (
-                np.degrees(separation_angle(res.a, res.b)),
+                eta_deg,
                 res.raw_mc,
                 res.raw_stderr,
                 res.standard_score_scalar,
@@ -236,8 +236,8 @@ def _common_flags(parser, suppress: bool) -> None:
         "--threads",
         type=_positive_int,
         default=argparse.SUPPRESS if suppress else 1,
-        help="accepted for compatibility; pairs are reduced in one thread and "
-        "the output is identical for any value",
+        help="accepted for compatibility; the ensemble is reduced block by block "
+        "in one thread and the output is identical for any value",
     )
 
 

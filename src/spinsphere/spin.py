@@ -16,10 +16,15 @@ orientation enters the score algebra through oriented_product: a
 left-handed frame multiplies in the opposite order, which is what makes
 the basis closure and the residual law hold for both lam values.
 
-Determinism contract: a fixed seed fixes every draw.  The generator is
-counter-based (Philox) and all draws happen in one fixed order during
-generation, so results do not depend on how later reductions are
-scheduled.
+Determinism contract: the ensemble is a sequence of blocks of
+BLOCK_TRIALS trials (the last one may be shorter).  Block c is drawn
+from its own counter-based stream, Philox(key=seed, counter=[0, 0, 0, c])
+(Salmon et al., SC'11), in a fixed order: axes, orientations, radii,
+then redraws.  A fixed seed therefore fixes every trial, and block 0 is
+the start of the plain Philox(key=seed) stream.  correlation_curve
+reduces each block to integer counts and adds them; integer addition is
+associative, so the result does not depend on how, or in which order,
+the blocks are grouped, and memory stays bounded whatever n_trials is.
 """
 
 from __future__ import annotations
@@ -65,21 +70,33 @@ __all__ = [
     "grid_degrees",
     "grid_pairs",
     "ORTHO_TOL",
+    "BLOCK_TRIALS",
+    "MAX_GRID_ROWS",
 ]
 
 ORTHO_TOL = 1e-12
+BLOCK_TRIALS = 2**14  # even, so every balanced_exact block is balanced
+MAX_GRID_ROWS = 1_000_000
 
 _LAMBDA_MODES = ("fair_coin", "balanced_exact")
 _ALIGNMENT_MODES = ("unit", "uniform_r")
 
 
 def grid_degrees(start_deg: float, stop_deg: float, step_deg: float) -> np.ndarray:
-    """Angles start, start + step, ... up to stop inclusive, in degrees."""
-    if step_deg <= 0:
+    """Angles start, start + step, ... up to stop inclusive, in degrees.
+
+    The row count is checked against MAX_GRID_ROWS before anything is
+    allocated; NaN and infinite bounds fail the same checks.
+    """
+    if not step_deg > 0:
         raise InvalidConfig("grid step must be positive")
-    if start_deg > stop_deg:
+    if not start_deg <= stop_deg:
         raise InvalidConfig("grid start must not exceed stop")
-    return np.arange(start_deg, stop_deg + step_deg * 0.5, step_deg)
+    stop = stop_deg + step_deg * 0.5
+    # arange makes ceil((stop - start) / step) rows
+    if not (stop - start_deg) / step_deg <= MAX_GRID_ROWS:
+        raise InvalidConfig(f"grid has more than {MAX_GRID_ROWS} rows")
+    return np.arange(start_deg, stop, step_deg)
 
 
 def grid_pairs(start_deg: float, stop_deg: float, step_deg: float):
@@ -107,21 +124,36 @@ class ExperimentConfig:
     alignment_mode: str = "unit"
     direction_pairs: object = None
 
-    def resolved_pairs(self):
+    def _grid(self):
+        """(start_deg, stop_deg, step_deg) of a grid spec, None for explicit pairs."""
         spec = self.direction_pairs
         if spec is None:
-            spec = {"start_deg": 0.0, "stop_deg": 180.0, "step_deg": 5.0}
-        if isinstance(spec, dict):
-            try:
-                return grid_pairs(
-                    float(spec["start_deg"]),
-                    float(spec["stop_deg"]),
-                    float(spec["step_deg"]),
-                )
-            except KeyError as missing:
-                raise InvalidConfig(f"grid spec missing {missing}") from None
-            except (TypeError, ValueError):
-                raise InvalidConfig("grid spec values must be numbers") from None
+            return 0.0, 180.0, 5.0
+        if not isinstance(spec, dict):
+            return None
+        try:
+            return float(spec["start_deg"]), float(spec["stop_deg"]), float(spec["step_deg"])
+        except KeyError as missing:
+            raise InvalidConfig(f"grid spec missing {missing}") from None
+        except (TypeError, ValueError):
+            raise InvalidConfig("grid spec values must be numbers") from None
+
+    def pair_degrees(self) -> list:
+        """The angle of each resolved pair in degrees.
+
+        A grid spec gives its own grid values; explicit pairs give
+        degrees(separation_angle(a, b)).
+        """
+        grid = self._grid()
+        if grid is not None:
+            return grid_degrees(*grid).tolist()
+        return [float(np.degrees(separation_angle(a, b))) for a, b in self.resolved_pairs()]
+
+    def resolved_pairs(self):
+        grid = self._grid()
+        if grid is not None:
+            return grid_pairs(*grid)
+        spec = self.direction_pairs
         try:
             pairs = [(np.asarray(a, float), np.asarray(b, float)) for a, b in spec]
         except (TypeError, ValueError):
@@ -191,49 +223,71 @@ class CorrelationResult:
     so3_reference: float
 
 
-def simulate_ensemble(config: ExperimentConfig) -> TrialEnsemble:
-    """Generate the trial ensemble for a validated config.
+def _pair_directions(pairs):
+    """The distinct directions of the pairs, and each pair's (a, b) rows in them."""
+    directions, inverse = np.unique(
+        np.stack([d for pair in pairs for d in pair]), axis=0, return_inverse=True
+    )
+    inverse = inverse.reshape(-1)
+    return directions, inverse[0::2], inverse[1::2]
 
-    Spin axes are three standard normals normalized (exactly isotropic).
-    Any trial whose axis is within ORTHO_TOL of orthogonality to a
-    configured detector direction is redrawn so the sign scores never
-    see a zero.  The check runs once per distinct direction (the default
-    grid repeats z-hat in every pair); the redraw loop consumes the
-    generator in a fixed order, keeping the stream deterministic.
+
+def _blocks(n: int):
+    """(index c, first trial, end trial) of each block of an n-trial ensemble."""
+    for c, lo in enumerate(range(0, n, BLOCK_TRIALS)):
+        yield c, lo, min(lo + BLOCK_TRIALS, n)
+
+
+def _draw_block(config: ExperimentConfig, directions: np.ndarray, c: int, m: int):
+    """Block c of the ensemble: m trials from Philox(key=seed, counter=[0, 0, 0, c]).
+
+    Spin axes are three standard normals (normalized by the caller; the
+    direction is exactly isotropic).  Any trial whose axis is within
+    ORTHO_TOL of orthogonality to one of the distinct directions is
+    redrawn from the block's own generator, so the sign scores never see
+    a zero.  Returns raw axes, lam, r_a and the checked projections
+    directions @ raw.T, every one at least ORTHO_TOL |raw| in magnitude.
+    """
+    rng = np.random.Generator(np.random.Philox(key=int(config.seed), counter=[0, 0, 0, c]))
+    raw = rng.standard_normal((m, 3))
+
+    if config.lambda_mode == "balanced_exact":
+        lam = rng.permutation(np.repeat(np.array([1, -1], dtype=np.int8), m // 2))
+    else:
+        lam = (rng.integers(0, 2, size=m, dtype=np.int8) * 2 - 1).astype(np.int8)
+
+    if config.alignment_mode == "uniform_r":
+        r_a = rng.uniform(0.0, 1.0, size=m)
+    else:
+        r_a = np.ones(m)
+
+    def check(vectors: np.ndarray):
+        projections = directions @ vectors.T
+        norms = np.linalg.norm(vectors, axis=1)
+        bad = (norms < 1e-9) | (np.abs(projections).min(axis=0) < ORTHO_TOL * norms)
+        return projections, bad
+
+    projections, bad = check(raw)
+    while bad.any():
+        raw[bad] = rng.standard_normal((int(bad.sum()), 3))
+        projections[:, bad], bad[bad] = check(raw[bad])
+    return raw, lam, r_a, projections
+
+
+def simulate_ensemble(config: ExperimentConfig) -> TrialEnsemble:
+    """Generate the trial ensemble for a validated config, block by block.
+
+    The trials are those of _draw_block, in block order; the redraw
+    check runs once per distinct direction (the default grid repeats
+    z-hat in every pair).
     """
     config.validate()
     n = int(config.n_trials)
-    rng = np.random.Generator(np.random.Philox(key=int(config.seed)))
-
-    raw = rng.standard_normal((n, 3))
-
-    if config.lambda_mode == "balanced_exact":
-        lam = np.repeat(np.array([1, -1], dtype=np.int8), n // 2)
-        lam = rng.permutation(lam)
-    else:
-        lam = (rng.integers(0, 2, size=n, dtype=np.int8) * 2 - 1).astype(np.int8)
-
-    if config.alignment_mode == "uniform_r":
-        r_a = rng.uniform(0.0, 1.0, size=n)
-    else:
-        r_a = np.ones(n)
-
-    directions = np.unique(
-        np.stack([d for pair in config.resolved_pairs() for d in pair]), axis=0
-    )
-
-    def needs_redraw(vectors: np.ndarray) -> np.ndarray:
-        norms = np.linalg.norm(vectors, axis=1)
-        return (norms < 1e-9) | (
-            np.abs(vectors @ directions.T).min(axis=1) < ORTHO_TOL * norms
-        )
-
-    bad = needs_redraw(raw)
-    while bad.any():
-        raw[bad] = rng.standard_normal((int(bad.sum()), 3))
-        bad[bad] = needs_redraw(raw[bad])
-
-    s = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    directions = _pair_directions(config.resolved_pairs())[0]
+    s, lam, r_a = np.empty((n, 3)), np.empty(n, dtype=np.int8), np.empty(n)
+    for c, lo, hi in _blocks(n):
+        raw, lam[lo:hi], r_a[lo:hi], _ = _draw_block(config, directions, c, hi - lo)
+        s[lo:hi] = raw / np.linalg.norm(raw, axis=1, keepdims=True)
     return TrialEnsemble(s=s, lam=lam, r_a=r_a)
 
 
@@ -244,26 +298,30 @@ def raw_score_pair(trial: TrialRecord, a, b):
     return int(np.sign(sa)), int(np.sign(-sb))
 
 
-def _require_trials(trials, minimum: int) -> TrialEnsemble:
-    if len(trials) < minimum:
-        raise TooFewTrials(f"need at least {minimum} trials, got {len(trials)}")
-    return trials
+def _require_trials(n: int, minimum: int) -> None:
+    if n < minimum:
+        raise TooFewTrials(f"need at least {minimum} trials, got {n}")
+
+
+def _sign_moments(total: int, nonzero: int, n: int):
+    """Mean and standard error of n products in {-1, 0, +1} from two counts.
+
+    The products sum exactly to total and nonzero of them are +-1, so
+    sum((x - mean)^2) = nonzero - total mean.
+    """
+    total = float(total)
+    mean = total / n
+    spread = max(nonzero - total * mean, 0.0)
+    return mean, float(np.sqrt(spread / (n - 1)) / np.sqrt(n))
 
 
 def raw_correlation(trials: TrialEnsemble, a, b):
-    """Mean and standard error of sign(s.a) sign(-s.b), with sign(0) = 0.
-
-    The products are +-1 or 0, so their sum S is exact and, with k of
-    them nonzero, sum((x - mean)^2) = k - S mean.
-    """
-    _require_trials(trials, 2)
+    """Mean and standard error of sign(s.a) sign(-s.b), with sign(0) = 0."""
+    _require_trials(len(trials), 2)
     products = np.sign(trials.s @ np.asarray(a, float)) * np.sign(
         -(trials.s @ np.asarray(b, float))
     )
-    n, total = len(trials), float(products.sum())
-    mean = total / n
-    spread = max(np.count_nonzero(products) - total * mean, 0.0)
-    return mean, float(np.sqrt(spread / (n - 1)) / np.sqrt(n))
+    return _sign_moments(products.sum(), np.count_nonzero(products), len(trials))
 
 
 def measurement_A(a, lam: int):
@@ -321,21 +379,23 @@ def standard_score_correlation(trials: TrialEnsemble, a, b):
     (-a.b, |mean lam| * |a x b|); balanced ensembles give a residual of
     exactly zero.
     """
-    _require_trials(trials, 1)
+    _require_trials(len(trials), 1)
+    return _score_moments(a, b, int(trials.lam.sum(dtype=np.int64)), len(trials))
+
+
+def _score_moments(a, b, lam_sum: int, n: int):
+    """(-a.b, |mean lam| |a x b|) for n trials whose orientations sum to lam_sum."""
     a = np.asarray(a, float)
     b = np.asarray(b, float)
-    lam_mean = float(np.mean(trials.lam))
-    scalar = -float(np.dot(a, b))
-    residual_norm = abs(lam_mean) * float(np.linalg.norm(np.cross(a, b)))
-    return scalar, residual_norm
+    residual_norm = abs(lam_sum / n) * float(np.linalg.norm(np.cross(a, b)))
+    return -float(np.dot(a, b)), residual_norm
 
 
 def scalar_product_correlation(trials: TrialEnsemble, a, b) -> float:
     """Mean of the scalar measurement product; -1 for every pair, as computed."""
-    _require_trials(trials, 1)
-    lam = trials.lam.astype(float)
-    products = lam * (-lam)
-    return float(np.mean(products))
+    _require_trials(len(trials), 1)
+    lam = trials.lam.astype(np.int64)
+    return int((lam * -lam).sum()) / len(trials)
 
 
 def quaternion_std_dev(psi: float, a, trials: TrialEnsemble):
@@ -349,7 +409,7 @@ def quaternion_std_dev(psi: float, a, trials: TrialEnsemble):
     psi = float(psi)
     if not 0.0 <= psi <= 4.0 * np.pi:
         raise DomainError("psi must lie in [0, 4 pi]")
-    _require_trials(trials, 1)
+    _require_trials(len(trials), 1)
     a = np.asarray(a, float)
     lam = trials.lam.astype(float)
 
@@ -436,32 +496,62 @@ def spin_basis(lam: int):
     return basis
 
 
-def _pair_result(trials: TrialEnsemble, a, b, scalar_form: float) -> CorrelationResult:
-    raw_mc, raw_stderr = raw_correlation(trials, a, b)
-    scalar, residual = standard_score_correlation(trials, a, b)
-    eta = separation_angle(a, b)
-    return CorrelationResult(
-        a=np.asarray(a, float),
-        b=np.asarray(b, float),
-        raw_mc=raw_mc,
-        raw_stderr=raw_stderr,
-        standard_score_scalar=scalar,
-        standard_score_residual_bivector_norm=residual,
-        scalar_product_form=scalar_form,
-        su2_reference=su2_distance(eta),
-        so3_reference=so3_distance(eta),
-    )
+def _block_counts(config: ExperimentConfig, directions, ia, ib, c: int, m: int) -> np.ndarray:
+    """Integer counts of block c: per pair, the trials whose sign bits at a
+    and b differ; then the sums of lam and of lam * (-lam)."""
+    _, lam, _, projections = _draw_block(config, directions, c, m)
+    bits = projections < 0
+    lam = lam.astype(np.int64)
+    differ = np.count_nonzero(bits[ia] != bits[ib], axis=1)
+    return np.append(differ, [lam.sum(), (lam * -lam).sum()])
+
+
+def _curve_rows(pairs, counts: np.ndarray, n: int):
+    """CorrelationResult per pair from the whole ensemble's summed counts.
+
+    No projection is zero, so sign(s.a) sign(-s.b) is +1 where the bits
+    differ and -1 where they agree: S = 2 differ - n with all n nonzero.
+    """
+    *differ, lam_sum, lam_product_sum = counts.tolist()
+    scalar_form = lam_product_sum / n
+    rows = []
+    for (a, b), d in zip(pairs, differ):
+        raw_mc, raw_stderr = _sign_moments(2 * d - n, n, n)
+        scalar, residual = _score_moments(a, b, lam_sum, n)
+        eta = separation_angle(a, b)
+        rows.append(
+            CorrelationResult(
+                a=np.asarray(a, float),
+                b=np.asarray(b, float),
+                raw_mc=raw_mc,
+                raw_stderr=raw_stderr,
+                standard_score_scalar=scalar,
+                standard_score_residual_bivector_norm=residual,
+                scalar_product_form=scalar_form,
+                su2_reference=su2_distance(eta),
+                so3_reference=so3_distance(eta),
+            )
+        )
+    return rows
 
 
 def correlation_curve(config: ExperimentConfig, threads: int = 1):
     """CorrelationResult list over the configured pairs, one shared ensemble.
 
-    The pairs are reduced one after another; threads is accepted for
-    compatibility and does not change the work or the result.  The
-    scalar product form does not depend on the pair, so it is computed
-    once per ensemble.
+    The ensemble is never held in memory: each block of _draw_block is
+    reduced to _block_counts and the integer counts are added, so memory
+    is bounded by one block.  The rows equal raw_correlation and
+    standard_score_correlation on simulate_ensemble(config) bit for bit,
+    and the scalar product form is computed once, from the whole
+    ensemble's counts.  threads is accepted for compatibility and does
+    not change the work or the result.
     """
-    trials = simulate_ensemble(config)
+    config.validate()
+    n = int(config.n_trials)
+    _require_trials(n, 2)
     pairs = config.resolved_pairs()
-    scalar_form = scalar_product_correlation(trials, *pairs[0])
-    return [_pair_result(trials, a, b, scalar_form) for a, b in pairs]
+    directions, ia, ib = _pair_directions(pairs)
+    counts = sum(
+        _block_counts(config, directions, ia, ib, c, hi - lo) for c, lo, hi in _blocks(n)
+    )
+    return _curve_rows(pairs, counts, n)

@@ -1,11 +1,12 @@
 """End-to-end command line checks: formats, determinism, exit codes."""
 
 import json
+import time
 
 import numpy as np
 import pytest
 
-from spinsphere import cli, geometry, oracle
+from spinsphere import cli, geometry, oracle, spin
 
 
 def run(argv):
@@ -87,6 +88,28 @@ def test_simulate_csv(tmp_path):
     assert first[5] == -1.0  # scalar form
     last = [float(x) for x in lines[-1].split(",")]
     assert last[6] == 1.0 and last[7] == 1.0
+
+
+def test_simulate_eta_deg_is_the_grid_angle(tmp_path):
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        direction_pairs={"start_deg": 0.0, "stop_deg": 180.0, "step_deg": 5.0},
+    )
+    out = tmp_path / "s.csv"
+    assert run(["simulate", str(cfg), "--output", str(out)]) == 0
+    eta = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+    assert eta == [f"{5.0 * k:.17g}" for k in range(37)]
+
+
+def test_simulate_eta_deg_for_explicit_pairs(tmp_path):
+    pairs = [[[0, 0, 1], [1, 0, 0]], [[0, 0, 1], [0.6, 0, 0.8]]]
+    cfg = write_config(tmp_path / "cfg.json", direction_pairs=pairs)
+    out = tmp_path / "s.json"
+    assert run(["simulate", str(cfg), "--format", "json", "--output", str(out)]) == 0
+    rows = json.loads(out.read_text())
+    want = [np.degrees(geometry.separation_angle(np.array(a, float), np.array(b, float)))
+            for a, b in pairs]
+    assert [row["eta_deg"] for row in rows] == want
 
 
 def test_simulate_threads_byte_identical(tmp_path):
@@ -183,9 +206,11 @@ def test_chsh_report(tmp_path):
     assert len(report["argmax_degrees"]) == 4
 
 
-def test_chsh_budget_flag(tmp_path):
+def test_chsh_budget_flag(tmp_path, capsys):
     out = tmp_path / "c.json"
     assert run(["chsh", "--budget", "10", "--output", str(out)]) == 1
+    # the law table is charged 360 units before any scalar correlator call
+    assert capsys.readouterr().err == "spinsphere: exceeded 10 budget units\n"
 
 
 @pytest.mark.parametrize("seed", ["1", "7", "2026"])
@@ -247,11 +272,41 @@ def test_torsion_check_n_points_must_be_positive(tmp_path, capsys):
 
 
 def test_grid_too_large_for_memory_exits_one(tmp_path, capsys):
-    # 3.6e14 rows: numpy refuses the allocation up front
+    # 3.6e14 rows: refused by the row cap before anything is allocated
     out = tmp_path / "d.csv"
     assert run(["distances", "--step", "1e-12", "--output", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("spinsphere: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["distances", "--step", "1e-6"],
+        ["oracle", "--step", "1e-6"],
+        ["distances", "--stop", "inf"],
+    ],
+)
+def test_grid_over_the_row_cap_exits_one_at_once(tmp_path, capsys, argv):
+    # 3.6e8 rows fit the address space, so only the cap stops them quickly
+    out = tmp_path / "g.csv"
+    start = time.perf_counter()
+    assert run(argv + ["--output", str(out)]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err == f"spinsphere: grid has more than {spin.MAX_GRID_ROWS} rows\n"
+    assert not out.exists()
+
+
+def test_simulate_grid_over_the_row_cap_exits_one(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        direction_pairs={"start_deg": 0.0, "stop_deg": 180.0, "step_deg": 1e-6},
+    )
+    out = tmp_path / "s.csv"
+    assert run(["simulate", str(cfg), "--output", str(out)]) == 1
+    assert "more than" in capsys.readouterr().err
     assert not out.exists()
 
 

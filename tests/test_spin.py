@@ -53,6 +53,30 @@ def test_grid_degrees_inclusive_and_validated():
         spin.grid_degrees(10.0, 0.0, 1.0)
 
 
+def test_grid_degrees_row_cap():
+    rows = spin.grid_degrees(0.0, spin.MAX_GRID_ROWS - 1.0, 1.0)
+    assert rows.size == spin.MAX_GRID_ROWS
+    for args in [
+        (0.0, float(spin.MAX_GRID_ROWS), 1.0),
+        (0.0, 360.0, 1e-6),
+        (0.0, np.inf, 1.0),
+        (-np.inf, 0.0, 1.0),
+        (np.nan, 1.0, 1.0),
+        (0.0, 1.0, np.nan),
+    ]:
+        with pytest.raises(InvalidConfig):
+            spin.grid_degrees(*args)
+
+
+def test_pair_degrees_grid_values_and_explicit_angles():
+    cfg = make_config(direction_pairs={"start_deg": 0.0, "stop_deg": 20.0, "step_deg": 5.0})
+    assert cfg.pair_degrees() == [0.0, 5.0, 10.0, 15.0, 20.0]
+    cfg = make_config(direction_pairs=[(E3, E1), (E3, [0.6, 0.0, 0.8])])
+    assert cfg.pair_degrees() == [
+        float(np.degrees(geometry.separation_angle(a, b))) for a, b in cfg.resolved_pairs()
+    ]
+
+
 def test_config_validation():
     with pytest.raises(InvalidConfig):
         make_config(n_trials=0).validate()
@@ -358,21 +382,116 @@ def test_correlation_curve_threads_identical():
 
 
 def test_correlation_curve_scalar_form_once_per_ensemble(monkeypatch):
-    calls = []
-    original = spin.scalar_product_correlation
+    sums = []
+    original = spin._curve_rows
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted(pairs, counts, n):
+        sums.append((counts[-1], n))
+        return original(pairs, counts, n)
 
-    monkeypatch.setattr(spin, "scalar_product_correlation", counted)
+    monkeypatch.setattr(spin, "_curve_rows", counted)
     cfg = make_config(
-        n_trials=400,
+        n_trials=2 * spin.BLOCK_TRIALS + 2,
         direction_pairs={"start_deg": 0.0, "stop_deg": 180.0, "step_deg": 30.0},
     )
     results = spin.correlation_curve(cfg, threads=4)
-    assert len(results) == 7 and len(calls) == 1
+    # one scalar form, from the lam * (-lam) sum over every block of the ensemble
+    assert len(results) == 7 and sums == [(-cfg.n_trials, cfg.n_trials)]
     assert all(r.scalar_product_form == -1.0 for r in results)
+
+
+STREAM_CONFIGS = {
+    "fair_coin_grid": dict(
+        lambda_mode="fair_coin",
+        direction_pairs={"start_deg": 0.0, "stop_deg": 180.0, "step_deg": 15.0},
+    ),
+    "fair_coin_pairs": dict(
+        lambda_mode="fair_coin",
+        direction_pairs=[(E3, E1), (E1, E2), ([0.6, 0.0, 0.8], [0.0, -0.8, 0.6]), (E2, -E2)],
+    ),
+    "balanced_grid": dict(
+        lambda_mode="balanced_exact",
+        direction_pairs={"start_deg": 10.0, "stop_deg": 170.0, "step_deg": 40.0},
+    ),
+    "balanced_pairs_uniform_r": dict(
+        lambda_mode="balanced_exact",
+        alignment_mode="uniform_r",
+        direction_pairs=[(E3, [0.6, 0.0, 0.8]), (E1, E1)],
+    ),
+}
+
+
+def stream_config(name):
+    # three trials past two full blocks (two for balanced_exact, which needs even n)
+    extra = 2 if STREAM_CONFIGS[name]["lambda_mode"] == "balanced_exact" else 3
+    return make_config(n_trials=2 * spin.BLOCK_TRIALS + extra, **STREAM_CONFIGS[name])
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_CONFIGS))
+def test_correlation_curve_rows_equal_materialized_estimators(name):
+    cfg = stream_config(name)
+    trials = spin.simulate_ensemble(cfg)
+    rows = spin.correlation_curve(cfg)
+    assert len(rows) == len(cfg.resolved_pairs())
+    for row, (a, b) in zip(rows, cfg.resolved_pairs()):
+        assert (row.raw_mc, row.raw_stderr) == spin.raw_correlation(trials, a, b)
+        assert (
+            row.standard_score_scalar,
+            row.standard_score_residual_bivector_norm,
+        ) == spin.standard_score_correlation(trials, a, b)
+        assert row.scalar_product_form == spin.scalar_product_correlation(trials, a, b)
+    if cfg.lambda_mode == "balanced_exact":
+        assert int(trials.lam.sum()) == 0
+        assert all(row.standard_score_residual_bivector_norm == 0.0 for row in rows)
+
+
+@pytest.mark.parametrize("name", ["fair_coin_grid", "balanced_pairs_uniform_r"])
+def test_block_sums_in_reversed_order_give_the_same_bytes(name):
+    cfg = stream_config(name).validate()
+    pairs = cfg.resolved_pairs()
+    directions, ia, ib = spin._pair_directions(pairs)
+    blocks = list(spin._blocks(cfg.n_trials))
+    assert len(blocks) == 3
+    counts = [spin._block_counts(cfg, directions, ia, ib, c, hi - lo) for c, lo, hi in blocks]
+    backward = spin._curve_rows(pairs, sum(reversed(counts)), cfg.n_trials)
+    forward = spin.correlation_curve(cfg)
+
+    def row_bytes(rows):
+        return [
+            np.array([r.raw_mc, r.raw_stderr, r.standard_score_residual_bivector_norm]).tobytes()
+            for r in rows
+        ]
+
+    assert row_bytes(backward) == row_bytes(forward)
+
+
+def test_block_c_draws_from_philox_counter_c():
+    cfg = make_config(n_trials=2 * spin.BLOCK_TRIALS)
+    trials = spin.simulate_ensemble(cfg)
+    for c in (0, 1):
+        rng = np.random.Generator(np.random.Philox(key=cfg.seed, counter=[0, 0, 0, c]))
+        first = rng.standard_normal(3)
+        assert np.array_equal(trials.s[c * spin.BLOCK_TRIALS], first / np.linalg.norm(first))
+
+
+def test_correlation_curve_memory_does_not_grow_with_blocks():
+    import tracemalloc
+
+    def peak(blocks):
+        cfg = make_config(
+            n_trials=blocks * spin.BLOCK_TRIALS,
+            direction_pairs={"start_deg": 0.0, "stop_deg": 180.0, "step_deg": 30.0},
+        )
+        tracemalloc.start()
+        try:
+            spin.correlation_curve(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    four, thirty_two = peak(4), peak(32)
+    # a materialized ensemble would need 8x the memory at 32 blocks
+    assert thirty_two < 1.25 * four
 
 
 def test_correlation_curve_references():
