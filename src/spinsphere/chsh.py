@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import algebra
 from .errors import InvalidConfig, OptimizerBudgetExceeded
@@ -301,6 +300,13 @@ def _guard_objective(law, v):
     )
     grad -= (grad * u).sum(axis=-1, keepdims=True) * u
     return np.abs(string), grad / norm
+
+
+def minimize(fun, x0, **options):
+    """scipy.optimize.minimize, imported on first call: only the guard needs scipy."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **options)
 
 
 def _random_restart_guard(correlator, coplanar_value, restarts, seed, budget, law):
