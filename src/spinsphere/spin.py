@@ -24,7 +24,10 @@ then redraws.  A fixed seed therefore fixes every trial, and block 0 is
 the start of the plain Philox(key=seed) stream.  correlation_curve
 reduces each block to integer counts and adds them; integer addition is
 associative, so the result does not depend on how, or in which order,
-the blocks are grouped, and memory stays bounded whatever n_trials is.
+the blocks are grouped, and memory stays bounded whatever n_trials is:
+one workspace of k x 2^14 x 9 bytes for the k distinct directions
+(float64 projections and bool signs) plus a few trial columns,
+allocated once per call and reused by every block.
 """
 
 from __future__ import annotations
@@ -238,18 +241,57 @@ def _blocks(n: int):
         yield c, lo, min(lo + BLOCK_TRIALS, n)
 
 
-def _draw_block(config: ExperimentConfig, directions: np.ndarray, c: int, m: int):
+class _Workspace:
+    """The buffers of one block over k distinct directions.
+
+    Allocated once per call and reused by every block: k x BLOCK_TRIALS
+    float64 projections and bool signs (9 bytes per direction and trial),
+    plus eight float64 trial columns for the raw and squared axes, the
+    norms and the per-trial minimum.  Reuse keeps the pages mapped: fresh
+    temporaries would be handed back to the OS at the end of each block
+    and faulted in again by the next (DECISIONS.md).  A block of m trials
+    uses the first m trials of each buffer, as contiguous views, so a
+    short last block takes the same matrix product as a full one.
+    """
+
+    def __init__(self, k: int):
+        self._k = k
+        self._raw = np.empty(3 * BLOCK_TRIALS)
+        self._squares = np.empty(3 * BLOCK_TRIALS)
+        self._proj = np.empty(k * BLOCK_TRIALS)
+        self._signs = np.empty(k * BLOCK_TRIALS, dtype=bool)
+        self._norms = np.empty(BLOCK_TRIALS)
+        self._mins = np.empty(BLOCK_TRIALS)
+
+    def views(self, m: int):
+        """(raw, squares, proj, signs, norms, mins) for an m-trial block."""
+        k = self._k
+        return (
+            self._raw[: 3 * m].reshape(m, 3),
+            self._squares[: 3 * m].reshape(m, 3),
+            self._proj[: k * m].reshape(k, m),
+            self._signs[: k * m].reshape(k, m),
+            self._norms[:m],
+            self._mins[:m],
+        )
+
+
+def _draw_block(
+    config: ExperimentConfig, directions: np.ndarray, c: int, m: int, work: _Workspace
+):
     """Block c of the ensemble: m trials from Philox(key=seed, counter=[0, 0, 0, c]).
 
     Spin axes are three standard normals (normalized by the caller; the
     direction is exactly isotropic).  Any trial whose axis is within
     ORTHO_TOL of orthogonality to one of the distinct directions is
     redrawn from the block's own generator, so the sign scores never see
-    a zero.  Returns raw axes, lam, r_a and the checked projections
-    directions @ raw.T, every one at least ORTHO_TOL |raw| in magnitude.
+    a zero.  Returns raw axes, their norms and the signs
+    directions @ raw.T < 0 of the checked projections, every one at least
+    ORTHO_TOL |raw| in magnitude (views into work), then lam and r_a.
     """
     rng = np.random.Generator(np.random.Philox(key=int(config.seed), counter=[0, 0, 0, c]))
-    raw = rng.standard_normal((m, 3))
+    raw, squares, proj, signs, norms, mins = work.views(m)
+    rng.standard_normal(out=raw)
 
     if config.lambda_mode == "balanced_exact":
         lam = rng.permutation(np.repeat(np.array([1, -1], dtype=np.int8), m // 2))
@@ -261,17 +303,29 @@ def _draw_block(config: ExperimentConfig, directions: np.ndarray, c: int, m: int
     else:
         r_a = np.ones(m)
 
+    # the arithmetic of check below, written into the workspace; the signs
+    # are taken before proj is overwritten by its magnitudes
+    np.matmul(directions, raw.T, out=proj)
+    np.less(proj, 0, out=signs)
+    np.multiply(raw, raw, out=squares)
+    np.add.reduce(squares, axis=1, out=norms)
+    np.sqrt(norms, out=norms)
+    np.abs(proj, out=proj)
+    np.minimum.reduce(proj, axis=0, out=mins)
+    bad = (norms < 1e-9) | (mins < ORTHO_TOL * norms)
+
     def check(vectors: np.ndarray):
         projections = directions @ vectors.T
         norms = np.linalg.norm(vectors, axis=1)
         bad = (norms < 1e-9) | (np.abs(projections).min(axis=0) < ORTHO_TOL * norms)
-        return projections, bad
+        return projections, norms, bad
 
-    projections, bad = check(raw)
     while bad.any():
         raw[bad] = rng.standard_normal((int(bad.sum()), 3))
-        projections[:, bad], bad[bad] = check(raw[bad])
-    return raw, lam, r_a, projections
+        projections, norms[bad], redo = check(raw[bad])
+        signs[:, bad] = projections < 0
+        bad[bad] = redo
+    return raw, norms, signs, lam, r_a
 
 
 def simulate_ensemble(config: ExperimentConfig) -> TrialEnsemble:
@@ -284,10 +338,11 @@ def simulate_ensemble(config: ExperimentConfig) -> TrialEnsemble:
     config.validate()
     n = int(config.n_trials)
     directions = _pair_directions(config.resolved_pairs())[0]
+    work = _Workspace(len(directions))
     s, lam, r_a = np.empty((n, 3)), np.empty(n, dtype=np.int8), np.empty(n)
     for c, lo, hi in _blocks(n):
-        raw, lam[lo:hi], r_a[lo:hi], _ = _draw_block(config, directions, c, hi - lo)
-        s[lo:hi] = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        raw, norms, _, lam[lo:hi], r_a[lo:hi] = _draw_block(config, directions, c, hi - lo, work)
+        np.divide(raw, norms[:, None], out=s[lo:hi])
     return TrialEnsemble(s=s, lam=lam, r_a=r_a)
 
 
@@ -496,13 +551,19 @@ def spin_basis(lam: int):
     return basis
 
 
-def _block_counts(config: ExperimentConfig, directions, ia, ib, c: int, m: int) -> np.ndarray:
+# bits set in each byte value; np.bitwise_count needs numpy >= 2.0
+_POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.uint8)
+
+
+def _block_counts(
+    config: ExperimentConfig, directions, ia, ib, c: int, m: int, work: _Workspace
+) -> np.ndarray:
     """Integer counts of block c: per pair, the trials whose sign bits at a
     and b differ; then the sums of lam and of lam * (-lam)."""
-    _, lam, _, projections = _draw_block(config, directions, c, m)
-    bits = projections < 0
+    _, _, signs, lam, _ = _draw_block(config, directions, c, m, work)
+    packed = np.packbits(signs, axis=1)
+    differ = _POPCOUNT[packed[ia] ^ packed[ib]].sum(axis=1, dtype=np.int64)
     lam = lam.astype(np.int64)
-    differ = np.count_nonzero(bits[ia] != bits[ib], axis=1)
     return np.append(differ, [lam.sum(), (lam * -lam).sum()])
 
 
@@ -539,11 +600,12 @@ def correlation_curve(config: ExperimentConfig, threads: int = 1):
     """CorrelationResult list over the configured pairs, one shared ensemble.
 
     The ensemble is never held in memory: each block of _draw_block is
-    reduced to _block_counts and the integer counts are added, so memory
-    is bounded by one block.  The rows equal raw_correlation and
-    standard_score_correlation on simulate_ensemble(config) bit for bit,
-    and the scalar product form is computed once, from the whole
-    ensemble's counts.  threads is accepted for compatibility and does
+    reduced to _block_counts and the integer counts are added.  Memory is
+    one _Workspace of k x 2^14 x 9 bytes for the k distinct directions,
+    allocated once per call and reused by every block.  The rows equal
+    raw_correlation and standard_score_correlation on
+    simulate_ensemble(config) bit for bit, and the scalar product form is
+    computed once, from the whole ensemble's counts.  threads is accepted for compatibility and does
     not change the work or the result.
     """
     config.validate()
@@ -551,7 +613,8 @@ def correlation_curve(config: ExperimentConfig, threads: int = 1):
     _require_trials(n, 2)
     pairs = config.resolved_pairs()
     directions, ia, ib = _pair_directions(pairs)
+    work = _Workspace(len(directions))
     counts = sum(
-        _block_counts(config, directions, ia, ib, c, hi - lo) for c, lo, hi in _blocks(n)
+        _block_counts(config, directions, ia, ib, c, hi - lo, work) for c, lo, hi in _blocks(n)
     )
     return _curve_rows(pairs, counts, n)

@@ -1,0 +1,43 @@
+"""The package still has every binding the traced benchmark run wraps.
+
+bench/layers.py wraps package functions by name, and a binding that is
+gone makes a traced run exit 1 before its first traced iteration.  The
+bench modules are imported read-only; their wrappers are installed on
+the package modules and then restored.
+"""
+
+from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+
+from spinsphere import chsh, cli, frames, oracle, spin
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def test_traced_run_installs_and_restores_every_binding(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layers
+    import tracing
+
+    program = SimpleNamespace(spin=spin, chsh=chsh, frames=frames, oracle=oracle, cli=cli)
+    modules = (spin, chsh, frames, oracle, cli)
+    before = [dict(vars(m)) for m in modules]
+    tracer = tracing.Tracer()
+    with tracer.installed(lambda t: layers.install(t, program)):
+        assert spin.simulate_ensemble is not before[0]["simulate_ensemble"]
+        e1, _, e3 = np.eye(3)
+        cfg = spin.ExperimentConfig(n_trials=100, seed=1, direction_pairs=[(e3, e1)])
+        # the ensemble wrapper reads the s, lam and r_a columns of its result
+        trials = spin.simulate_ensemble(cfg)
+        spin.raw_correlation(trials, *cfg.resolved_pairs()[0])
+        spin.correlation_curve(cfg)
+    for module, bindings in zip(modules, before):
+        assert vars(module).keys() == bindings.keys()
+        assert all(vars(module)[name] is value for name, value in bindings.items())
+    names = [s["name"] for s in tracer.spans]
+    assert names.count("spin.ensemble") == 1 and names.count("spin.curve") == 1
+    ensemble = next(s for s in tracer.spans if s["name"] == "spin.ensemble")
+    assert ensemble["attrs"]["trials"] == 100
+    assert ensemble["attrs"]["bytes"] == trials.s.nbytes + trials.lam.nbytes + trials.r_a.nbytes

@@ -1,5 +1,11 @@
 """Monte Carlo ensemble, the three correlation statistics, rotor dispersion."""
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -427,10 +433,7 @@ def stream_config(name):
     return make_config(n_trials=2 * spin.BLOCK_TRIALS + extra, **STREAM_CONFIGS[name])
 
 
-@pytest.mark.parametrize("name", sorted(STREAM_CONFIGS))
-def test_correlation_curve_rows_equal_materialized_estimators(name):
-    cfg = stream_config(name)
-    trials = spin.simulate_ensemble(cfg)
+def assert_curve_equals_materialized_estimators(cfg, trials):
     rows = spin.correlation_curve(cfg)
     assert len(rows) == len(cfg.resolved_pairs())
     for row, (a, b) in zip(rows, cfg.resolved_pairs()):
@@ -440,9 +443,55 @@ def test_correlation_curve_rows_equal_materialized_estimators(name):
             row.standard_score_residual_bivector_norm,
         ) == spin.standard_score_correlation(trials, a, b)
         assert row.scalar_product_form == spin.scalar_product_correlation(trials, a, b)
+    return rows
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_CONFIGS))
+def test_correlation_curve_rows_equal_materialized_estimators(name):
+    cfg = stream_config(name)
+    trials = spin.simulate_ensemble(cfg)
+    rows = assert_curve_equals_materialized_estimators(cfg, trials)
     if cfg.lambda_mode == "balanced_exact":
         assert int(trials.lam.sum()) == 0
         assert all(row.standard_score_residual_bivector_norm == 0.0 for row in rows)
+
+
+GRID_7 = {"start_deg": 0.0, "stop_deg": 180.0, "step_deg": 7.0}
+REDRAW_CONFIGS = {
+    "fair_coin_grid": dict(lambda_mode="fair_coin", direction_pairs=GRID_7),
+    "balanced_grid": dict(lambda_mode="balanced_exact", direction_pairs=GRID_7),
+    "fair_coin_pairs": STREAM_CONFIGS["fair_coin_pairs"],
+    "balanced_pairs_uniform_r": dict(
+        STREAM_CONFIGS["fair_coin_pairs"], lambda_mode="balanced_exact", alignment_mode="uniform_r"
+    ),
+}
+# sha256 of s, lam and r_a bytes at ORTHO_TOL = 0.05, as the ensemble
+# drawn with per-block temporaries gave them
+REDRAW_ENSEMBLE_SHA256 = {
+    "fair_coin_grid": "2301fadb847f5bac88bb92ed408e6c9ad8fcea02d0a8ed77eb27eb48f1390119",
+    "balanced_grid": "405337c7b2b5403cffd152fff7cd5557d850f5c7afcc79ce85a88498399f9cb7",
+    "fair_coin_pairs": "6d079f6a6bef6b0cb625b566930038ebfefd0d804fff2dbccf8f51996f227a57",
+    "balanced_pairs_uniform_r": "802f59de5b337fdecad7d9b34a6da40dd99942834e64cea63b7e62c710f87cc1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REDRAW_CONFIGS))
+def test_streamed_curve_through_redraws(name, monkeypatch):
+    settings = REDRAW_CONFIGS[name]
+    # a short last block after two full ones
+    extra = 2 if settings["lambda_mode"] == "balanced_exact" else 3
+    cfg = make_config(n_trials=2 * spin.BLOCK_TRIALS + extra, **settings)
+    plain = spin.simulate_ensemble(cfg)
+    # a tolerance this wide sends a visible share of the trials through redraws
+    monkeypatch.setattr(spin, "ORTHO_TOL", 0.05)
+    trials = spin.simulate_ensemble(cfg)
+    # redraws replace trials in place: the trials that differ are the redrawn ones
+    assert np.any(trials.s != plain.s, axis=1).mean() > 0.2
+    directions = spin._pair_directions(cfg.resolved_pairs())[0]
+    assert np.abs(trials.s @ directions.T).min() >= 0.05 - 1e-12
+    digest = hashlib.sha256(trials.s.tobytes() + trials.lam.tobytes() + trials.r_a.tobytes())
+    assert digest.hexdigest() == REDRAW_ENSEMBLE_SHA256[name]
+    assert_curve_equals_materialized_estimators(cfg, trials)
 
 
 @pytest.mark.parametrize("name", ["fair_coin_grid", "balanced_pairs_uniform_r"])
@@ -452,7 +501,10 @@ def test_block_sums_in_reversed_order_give_the_same_bytes(name):
     directions, ia, ib = spin._pair_directions(pairs)
     blocks = list(spin._blocks(cfg.n_trials))
     assert len(blocks) == 3
-    counts = [spin._block_counts(cfg, directions, ia, ib, c, hi - lo) for c, lo, hi in blocks]
+    counts = [
+        spin._block_counts(cfg, directions, ia, ib, c, hi - lo, spin._Workspace(len(directions)))
+        for c, lo, hi in blocks
+    ]
     backward = spin._curve_rows(pairs, sum(reversed(counts)), cfg.n_trials)
     forward = spin.correlation_curve(cfg)
 
@@ -492,6 +544,28 @@ def test_correlation_curve_memory_does_not_grow_with_blocks():
     four, thirty_two = peak(4), peak(32)
     # a materialized ensemble would need 8x the memory at 32 blocks
     assert thirty_two < 1.25 * four
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_minflt counts minor faults on Linux")
+def test_correlation_curve_reuses_its_pages():
+    # a fresh interpreter: an earlier large allocation in this process raises
+    # the allocator's trim threshold and would hide the faults
+    code = (
+        "import resource; from spinsphere import spin; "
+        "cfg = spin.ExperimentConfig(n_trials=1_000_000, seed=2026); "
+        "spin.correlation_curve(cfg); "
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt; "
+        "spin.correlation_curve(cfg); "
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)"
+    )
+    src = str(Path(spin.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    # fresh temporaries in each of the 62 blocks took about 66,500 faults
+    assert int(out.stdout) < 6_000
 
 
 def test_correlation_curve_references():
