@@ -11,9 +11,13 @@ run on the analytic gradient of each law in the dot products; its
 quadruple is reported only if it beats the grid.  The Monte Carlo table
 holds exact integer sums of per-trial products, so every grid string it
 reports is the ensemble mean of per-trial strings and never exceeds the
-local bound of 2.  The classic maximum for the cosine correlator is
-2 sqrt(2) at (0, 90, 225, 135) degrees; the saw correlator tops out at
-2, already on degenerate quadruples.
+local bound of 2; the bound also forces the reported value, 2 for every
+ensemble.  The ensemble is streamed: each block is reduced to 360
+azimuth-bin counts and its rare edge trials, the table follows from arc
+sums of the bins, and memory does not grow with the trial count.  The
+classic maximum for the cosine correlator is 2 sqrt(2) at
+(0, 90, 225, 135) degrees; the saw correlator tops out at 2, already on
+degenerate quadruples.
 
 The two stations' scores are kept in separate algebra copies: a string
 evaluation never multiplies an a-side element by a b-side element, so
@@ -31,7 +35,8 @@ import numpy as np
 from . import algebra
 from .errors import InvalidConfig, OptimizerBudgetExceeded
 from .geometry import separation_angle, so3_distance
-from .spin import ExperimentConfig, raw_correlation, simulate_ensemble
+from .spin import ExperimentConfig, _unit_blocks, raw_correlation
+from .spin import simulate_ensemble  # unused here; bench/layers.py wraps this binding
 
 __all__ = [
     "TSIRELSON_BOUND",
@@ -50,6 +55,7 @@ __all__ = [
 
 TSIRELSON_BOUND = 2.0 * np.sqrt(2.0)
 GRID_STEP_DEG = 1.0  # coplanar grid and correlation table resolution
+_COUNT = int(round(360.0 / GRID_STEP_DEG))  # grid directions
 EDGE_TOL_DEG = 1e-9  # azimuths this close to a grid direction take the dot-product path
 TIE_MARGIN = 1e-12  # a grid string replaces the best only above best + TIE_MARGIN
 RESTARTS = 100  # full-sphere starts in the guard
@@ -209,34 +215,78 @@ def _planar_direction(angle_rad: float) -> np.ndarray:
     return np.array([np.cos(angle_rad), np.sin(angle_rad), 0.0])
 
 
+def _azimuth_bins(s: np.ndarray):
+    """(bins, on_edge) of unit axes s: azimuth-bin counts and edge trials.
+
+    bins[k] counts the trials whose azimuth lies strictly inside bin k,
+    more than EDGE_TOL_DEG from every grid direction.  on_edge holds the
+    axes of the others, within EDGE_TOL_DEG of a grid direction (s_x =
+    s_y = 0 among them: atan2 gives 0 or 180 degrees); a drawn ensemble
+    has about 2e-9 of them per trial.
+    """
+    azimuth = np.degrees(np.arctan2(s[:, 1], s[:, 0])) / GRID_STEP_DEG
+    edge = np.abs(azimuth - np.rint(azimuth)) * GRID_STEP_DEG <= EDGE_TOL_DEG
+    bins = np.bincount(np.floor(azimuth[~edge]).astype(np.int64) % _COUNT, minlength=_COUNT)
+    return bins, s[edge]
+
+
+def _table_from_bins(bins: np.ndarray, on_edge: np.ndarray) -> np.ndarray:
+    """C[i, j] = sum over trials of sign(s.d_i) sign(-s.d_j) from _azimuth_bins.
+
+    A trial in bin k is more than EDGE_TOL_DEG from orthogonal to every
+    d_i, so sign(s.d_i) = f(k, i) depends on k alone: +1 when k lies in
+    the half circle H_i = [i - q, i + q), else -1, with angles in grid
+    steps (360 to the turn, q = 90).  Summed over the bins,
+    sum_k bins[k] f(k, i) f(k, j) = N - 2 bins(H_i ^ H_j), N the binned
+    trials.  For d = (j - i) mod 360 <= 180 the symmetric difference is
+    the two arcs [i - q, i - q + d) and [i + q, i + q + d); for larger d,
+    i and j swap and d becomes 360 - d.  Each arc sum is a difference of
+    one prefix sum of the bins tiled twice, all in int64, so the table is
+    exact.  An edge trial is scored by raw_correlation's own
+    per-direction dot products, which keeps sign(0) = 0 and the rounding
+    of near-orthogonal s.d (a matrix product may round those
+    differently); its sign rows E add E.T @ E.
+    """
+    quarter = _COUNT // 4
+    i, j = np.ogrid[:_COUNT, :_COUNT]
+    d = (j - i) % _COUNT
+    swap = d > _COUNT // 2
+    length = np.where(swap, _COUNT - d, d)
+    first = np.where(swap, j, i) - quarter
+    prefix = np.concatenate([[0], np.cumsum(np.tile(bins, 2))])
+
+    def arc(start):
+        start = start % _COUNT
+        return prefix[start + length] - prefix[start]
+
+    differ = arc(first) + arc(first + 2 * quarter)
+    directions = [_planar_direction(np.radians(k * GRID_STEP_DEG)) for k in range(_COUNT)]
+    edge = np.stack([np.sign(on_edge @ d) for d in directions], axis=1).astype(np.int64)
+    return 2 * differ - bins.sum() - edge.T @ edge
+
+
 def _planar_count_table(trials) -> np.ndarray:
     """C[i, j] = sum over trials of sign(s.d_i) sign(-s.d_j), d_k = k grid steps.
 
     C / n equals raw_correlation(trials, d_i, d_j)[0] bit for bit: the sum
-    is an exact integer.  A trial whose azimuth lies strictly inside bin
-    k is more than EDGE_TOL_DEG from orthogonal to every d_i, so its signs
-    depend on k alone: +1 within a quarter turn of the bin, else -1.  The
-    bins enter as one count-weighted integer product of those sign
-    patterns, exact and free of BLAS work buffers.  A trial within
-    EDGE_TOL_DEG of a grid direction (s_x = s_y = 0 among them: atan2
-    gives 0 or 180 degrees) is scored by raw_correlation's own
-    per-direction dot products, which keeps sign(0) = 0 and the rounding
-    of near-orthogonal s.d; a matrix product may round those differently.
+    is an exact integer (_table_from_bins).
     """
-    count = int(round(360.0 / GRID_STEP_DEG))
-    directions = [_planar_direction(np.radians(k * GRID_STEP_DEG)) for k in range(count)]
-    s = trials.s
-    azimuth = np.degrees(np.arctan2(s[:, 1], s[:, 0])) / GRID_STEP_DEG
-    edge = np.abs(azimuth - np.rint(azimuth)) * GRID_STEP_DEG <= EDGE_TOL_DEG
-    bins = np.bincount(np.floor(azimuth[~edge]).astype(np.int64) % count, minlength=count)
-    k = np.arange(count)
-    offset = (k[:, None] - k[None, :]) % count
-    patterns = np.where((offset < count // 4) | (offset >= 3 * count // 4), 1, -1)
-    on_edge = s[edge]
-    edge_patterns = np.stack([np.sign(on_edge @ d) for d in directions], axis=1)
-    rows = np.vstack([patterns, edge_patterns.astype(np.int64)])
-    weights = np.concatenate([bins, np.ones(len(on_edge), dtype=np.int64)])
-    return -((rows.T * weights) @ rows)
+    return _table_from_bins(*_azimuth_bins(trials.s))
+
+
+def _streamed_count_table(config: ExperimentConfig) -> np.ndarray:
+    """_planar_count_table(simulate_ensemble(config)) without the ensemble.
+
+    The blocks of spin._unit_blocks are reduced to azimuth-bin counts as
+    they are drawn; only the 360 counts and the edge trials outlive a
+    block, so memory stays bounded whatever n_trials is.
+    """
+    bins, on_edge = np.zeros(_COUNT, dtype=np.int64), []
+    for _, _, s, _, _ in _unit_blocks(config):
+        block_bins, block_edge = _azimuth_bins(s)
+        bins += block_bins
+        on_edge.append(block_edge)
+    return _table_from_bins(bins, np.concatenate(on_edge))
 
 
 def _coplanar_grid_max(table: np.ndarray):
@@ -356,42 +406,41 @@ def maximize_chsh(
     stops at the grid stage: 1 degree of direction resolution is already
     far below the estimator's standard error, and the restart guard would
     re-estimate the string thousands of times for no extra information.
-    Its argmax, the lowest tied grid string, is the degenerate
-    (0, 0, 180, 0) on every seed tried: a = a' = x-hat and b = -x-hat
-    make every per-trial string exactly 2, so only the Monte Carlo value
-    carries information.
+    Its value is forced by the local bound: 2.0 for every ensemble.  The
+    lowest tied grid string has a = a' = x-hat, where every per-trial
+    string is 2 sign(s.x) sign(-s.b) = +-2, and b = -x-hat makes all of
+    them +2 ((0, 0, 180, 0) at 1M trials on every seed tried), so neither
+    the value nor the argmax depends on the ensemble.  The ensemble is
+    streamed block by block (_streamed_count_table), never held whole.
     """
     if correlation_kind not in _KINDS:
         raise InvalidConfig(f"unknown correlation_kind {correlation_kind!r}")
     cfg = optimizer_config or OptimizerConfig()
     budget = _Budget(cfg.budget)
-    count = int(round(360.0 / GRID_STEP_DEG))
 
     if correlation_kind == "monte_carlo":
-        budget.spend(count * count)
+        budget.spend(_COUNT * _COUNT)
         x_hat = _planar_direction(0.0)  # a of every grid string; redraw-check it
-        ensemble = simulate_ensemble(
-            ExperimentConfig(cfg.mc_trials, cfg.seed, direction_pairs=[(x_hat, x_hat)])
-        )
-        table = _planar_count_table(ensemble)
+        draw = ExperimentConfig(cfg.mc_trials, cfg.seed, direction_pairs=[(x_hat, x_hat)])
+        table = _streamed_count_table(draw.validate())
     else:
         correlator, law = {
             "su2_cosine": (su2_cosine_correlator, _cosine_law),
             "so3_saw": (so3_saw_correlator, _saw_law),
         }[correlation_kind]
-        budget.spend(count)
+        budget.spend(_COUNT)
         # E between x-hat and the planar direction d steps away; the laws
         # depend on the separation angle only, so the table is the
-        # circulant table[u, v] = relative[(v - u) % count], here a view
-        relative = law(np.cos(np.radians(np.arange(count) * GRID_STEP_DEG)))[0]
-        windows = np.lib.stride_tricks.sliding_window_view(np.tile(relative, 2), count)
-        table = windows[count:0:-1]
+        # circulant table[u, v] = relative[(v - u) % _COUNT], here a view
+        relative = law(np.cos(np.radians(np.arange(_COUNT) * GRID_STEP_DEG)))[0]
+        windows = np.lib.stride_tricks.sliding_window_view(np.tile(relative, 2), _COUNT)
+        table = windows[_COUNT:0:-1]
     grid_value, u, v, w = _coplanar_grid_max(table)
     angles = np.radians(np.array([0.0, u, v, w]) * GRID_STEP_DEG)
     directions = tuple(_planar_direction(t) for t in angles)
 
     if correlation_kind == "monte_carlo":
-        value = grid_value / len(ensemble)  # |sum of per-trial strings| <= 2 n
+        value = grid_value / int(draw.n_trials)  # |sum of per-trial strings| <= 2 n
     else:
         budget.spend(4)
         value = abs(_string(correlator, *directions))

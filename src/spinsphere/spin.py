@@ -27,7 +27,9 @@ associative, so the result does not depend on how, or in which order,
 the blocks are grouped, and memory stays bounded whatever n_trials is:
 one workspace of k x 2^14 x 9 bytes for the k distinct directions
 (float64 projections and bool signs) plus a few trial columns,
-allocated once per call and reused by every block.
+allocated once per call and reused by every block.  The unit axes of
+each block come from _unit_blocks, which simulate_ensemble copies out
+and chsh's Monte Carlo search reduces to azimuth-bin counts.
 """
 
 from __future__ import annotations
@@ -328,21 +330,34 @@ def _draw_block(
     return raw, norms, signs, lam, r_a
 
 
+def _unit_blocks(config: ExperimentConfig):
+    """(lo, hi, s, lam, r_a) of each block of a validated config's ensemble.
+
+    s holds the block's unit axes raw / norms of _draw_block, redraw-checked
+    against the config's distinct directions.  Every block goes through
+    one _Workspace and one 2^14 x 3 buffer, so s is a view that the next
+    block overwrites: memory stays bounded whatever n_trials is.
+    """
+    directions = _pair_directions(config.resolved_pairs())[0]
+    work = _Workspace(len(directions))
+    unit = np.empty((BLOCK_TRIALS, 3))
+    for c, lo, hi in _blocks(int(config.n_trials)):
+        raw, norms, _, lam, r_a = _draw_block(config, directions, c, hi - lo, work)
+        yield lo, hi, np.divide(raw, norms[:, None], out=unit[: hi - lo]), lam, r_a
+
+
 def simulate_ensemble(config: ExperimentConfig) -> TrialEnsemble:
     """Generate the trial ensemble for a validated config, block by block.
 
-    The trials are those of _draw_block, in block order; the redraw
+    The trials are those of _unit_blocks, in block order; the redraw
     check runs once per distinct direction (the default grid repeats
     z-hat in every pair).
     """
     config.validate()
     n = int(config.n_trials)
-    directions = _pair_directions(config.resolved_pairs())[0]
-    work = _Workspace(len(directions))
     s, lam, r_a = np.empty((n, 3)), np.empty(n, dtype=np.int8), np.empty(n)
-    for c, lo, hi in _blocks(n):
-        raw, norms, _, lam[lo:hi], r_a[lo:hi] = _draw_block(config, directions, c, hi - lo, work)
-        np.divide(raw, norms[:, None], out=s[lo:hi])
+    for lo, hi, unit, block_lam, block_r_a in _unit_blocks(config):
+        s[lo:hi], lam[lo:hi], r_a[lo:hi] = unit, block_lam, block_r_a
     return TrialEnsemble(s=s, lam=lam, r_a=r_a)
 
 

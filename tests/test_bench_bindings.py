@@ -41,3 +41,23 @@ def test_traced_run_installs_and_restores_every_binding(monkeypatch):
     ensemble = next(s for s in tracer.spans if s["name"] == "spin.ensemble")
     assert ensemble["attrs"]["trials"] == 100
     assert ensemble["attrs"]["bytes"] == trials.s.nbytes + trials.lam.nbytes + trials.r_a.nbytes
+
+
+def test_traced_chsh_searches_run_under_the_wrappers(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layers
+    import tracing
+
+    program = SimpleNamespace(spin=spin, chsh=chsh, frames=frames, oracle=oracle, cli=cli)
+    tracer = tracing.Tracer()
+    with tracer.installed(lambda t: layers.install(t, program)):
+        mc = chsh.maximize_chsh("monte_carlo", chsh.OptimizerConfig(mc_trials=1000))
+        saw = chsh.maximize_chsh("so3_saw")
+    assert mc.chsh_value == 2.0 and saw.chsh_value == 2.0
+    names = [s["name"] for s in tracer.spans]
+    assert names.count("chsh.search.monte_carlo") == 1
+    assert names.count("chsh.search.so3_saw") == 1
+    assert names.count("chsh.guard") == 1
+    metrics = layers.metrics(tracer, 0, 0)
+    assert metrics["chsh.guard.so3_saw.restarts"] == 1
+    assert metrics["chsh.search.monte_carlo.s"] > 0.0

@@ -1,5 +1,7 @@
 """CHSH string, torsion commutator, variance bound, and the maximizer."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -216,18 +218,34 @@ def test_one_estimator_pins_sign_zero_and_closed_form_stderr():
 
 def test_monte_carlo_ensemble_redraw_checks_the_table_anchor(monkeypatch):
     drawn = []
+    draw_block = spin._draw_block
 
-    def capture(config):
-        drawn.append(config)
-        return spin.simulate_ensemble(config)
+    def capture(config, directions, *args):
+        drawn.append(directions)
+        return draw_block(config, directions, *args)
 
-    monkeypatch.setattr(chsh, "simulate_ensemble", capture)
+    monkeypatch.setattr(spin, "_draw_block", capture)
     chsh.maximize_chsh("monte_carlo", chsh.OptimizerConfig(mc_trials=1000))
-    (config,) = drawn
-    pairs = config.resolved_pairs()
-    assert len(pairs) == 1
-    for direction in pairs[0]:
-        assert np.array_equal(direction, E1)
+    # 1000 trials are one block, checked against x-hat alone
+    (directions,) = drawn
+    assert np.array_equal(directions, [E1])
+
+
+@pytest.mark.parametrize("seed", [1, 5, 99, 2026])
+@pytest.mark.parametrize("mc_trials", [3, 1000])
+def test_monte_carlo_value_is_forced_by_the_local_bound(seed, mc_trials):
+    # the lowest tied grid string has a = a' = x-hat, so each per-trial
+    # string is 2 sign(s.x) sign(-s.b) = +-2; b = -x-hat makes them all +2,
+    # and no mean of strings in [-2, 2] exceeds that: 2.0 for every ensemble
+    report = chsh.maximize_chsh("monte_carlo", chsh.OptimizerConfig(seed=seed, mc_trials=mc_trials))
+    assert report.chsh_value == 2.0
+    assert report.angles_deg[:2] == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("mc_trials", [0, -5])
+def test_monte_carlo_search_rejects_empty_ensembles(mc_trials):
+    with pytest.raises(InvalidConfig):
+        chsh.maximize_chsh("monte_carlo", chsh.OptimizerConfig(mc_trials=mc_trials))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 7, 11, 2026])
@@ -257,6 +275,68 @@ def test_monte_carlo_count_table_keeps_edge_signs():
     for i in (0, 45, 90, 270):
         for j in range(360):
             assert table[i, j] / 5 == spin.raw_correlation(trials, planar(i), planar(j))[0]
+
+
+def pattern_product_table(trials):
+    """The count table as one integer product of per-bin and per-edge-trial sign rows."""
+    s = trials.s
+    azimuth = np.degrees(np.arctan2(s[:, 1], s[:, 0]))
+    edge = np.abs(azimuth - np.rint(azimuth)) <= chsh.EDGE_TOL_DEG
+    bins = np.bincount(np.floor(azimuth[~edge]).astype(np.int64) % 360, minlength=360)
+    offset = (np.arange(360)[:, None] - np.arange(360)[None, :]) % 360
+    patterns = np.where((offset < 90) | (offset >= 270), 1, -1)
+    edge_rows = np.stack([np.sign(s[edge] @ planar(k)) for k in range(360)], axis=1)
+    rows = np.vstack([patterns, edge_rows.astype(np.int64)])
+    weights = np.concatenate([bins, np.ones(int(edge.sum()), dtype=np.int64)])
+    return -((rows.T * weights) @ rows)
+
+
+def test_arc_sum_table_equals_the_pattern_product():
+    rng = np.random.default_rng(3)
+    k = np.radians(rng.integers(0, 360, size=2000))
+    on_grid = np.stack([np.cos(k), np.sin(k), rng.normal(size=2000)], axis=1)
+    drawn = spin.simulate_ensemble(spin.ExperimentConfig(50_001, 4, direction_pairs=[(E1, E1)]))
+    # bins of every count from 0 up, and every edge kind: grid azimuths, poles
+    for s in (on_grid, drawn.s, np.vstack([drawn.s[:7], E3, -E3, E1, on_grid[:3]])):
+        trials = spin.TrialEnsemble(s=s, lam=np.ones(len(s), dtype=np.int8), r_a=np.ones(len(s)))
+        table = chsh._planar_count_table(trials)
+        assert table.dtype == np.int64
+        assert np.array_equal(table, pattern_product_table(trials))
+
+
+@pytest.mark.parametrize(
+    "n", [1, 3, spin.BLOCK_TRIALS, spin.BLOCK_TRIALS + 7, 200_001]
+)
+def test_streamed_count_table_equals_the_materialized_table(n):
+    cfg = spin.ExperimentConfig(n, 13, direction_pairs=[(E1, E1)])
+    materialized = chsh._planar_count_table(spin.simulate_ensemble(cfg))
+    assert np.array_equal(chsh._streamed_count_table(cfg.validate()), materialized)
+
+
+def test_streamed_count_table_through_redraws(monkeypatch):
+    cfg = spin.ExperimentConfig(2 * spin.BLOCK_TRIALS + 3, 21, direction_pairs=[(E1, E1)])
+    plain = spin.simulate_ensemble(cfg)
+    # a tolerance this wide redraws every trial with |s_x| < 0.05
+    monkeypatch.setattr(spin, "ORTHO_TOL", 0.05)
+    trials = spin.simulate_ensemble(cfg)
+    assert np.any(trials.s != plain.s, axis=1).mean() > 0.04
+    assert np.abs(trials.s[:, 0]).min() >= 0.05 - 1e-12
+    streamed = chsh._streamed_count_table(cfg.validate())
+    assert np.array_equal(streamed, chsh._planar_count_table(trials))
+
+
+def test_monte_carlo_search_memory_does_not_grow_with_the_trials():
+    def peak(mc_trials):
+        tracemalloc.start()
+        try:
+            chsh.maximize_chsh("monte_carlo", chsh.OptimizerConfig(mc_trials=mc_trials))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(2**15), peak(1_000_000)
+    assert large <= 16 * 2**20
+    assert large <= small + 2 * 2**20
 
 
 def test_monte_carlo_search_charges_one_evaluation_per_table_entry():

@@ -1,5 +1,6 @@
 """End-to-end command line checks: formats, determinism, exit codes."""
 
+import hashlib
 import json
 import time
 
@@ -225,6 +226,13 @@ def test_chsh_closed_form_bytes(tmp_path, seed, kind, value, degrees):
     payload = {"kind": kind, "max_abs_chsh": value, "argmax_degrees": degrees,
                "bound": 2.8284271247461903}
     assert out.read_text() == json.dumps(payload, indent=2) + "\n"
+
+
+def test_chsh_monte_carlo_bytes(tmp_path):
+    out = tmp_path / "c.json"
+    assert run(["chsh", "--kind", "monte_carlo", "--seed", "7", "--output", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "5072e6b130940a30cf0070dc89586e9b22832b50ce4cdc9ed045b88a2b648d24"
 
 
 @pytest.mark.parametrize("value", ["0", "-5"])
