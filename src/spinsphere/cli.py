@@ -236,8 +236,9 @@ def _common_flags(parser, suppress: bool) -> None:
         "--threads",
         type=_positive_int,
         default=argparse.SUPPRESS if suppress else 1,
-        help="accepted for compatibility; the ensemble is reduced block by block "
-        "in one thread and the output is identical for any value",
+        help="workers for simulate: the ensemble's blocks are split among "
+        "min(THREADS, blocks, usable CPUs) workers, each a thread with its own "
+        "workspace; the output is identical for any value",
     )
 
 

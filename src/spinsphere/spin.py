@@ -24,16 +24,21 @@ then redraws.  A fixed seed therefore fixes every trial, and block 0 is
 the start of the plain Philox(key=seed) stream.  correlation_curve
 reduces each block to integer counts and adds them; integer addition is
 associative, so the result does not depend on how, or in which order,
-the blocks are grouped, and memory stays bounded whatever n_trials is:
-one workspace of k x 2^14 x 9 bytes for the k distinct directions
-(float64 projections and bool signs) plus a few trial columns,
-allocated once per call and reused by every block.  The unit axes of
+the blocks are grouped: the same bytes for any threads value and any
+number of workers the blocks are split among.  Memory stays bounded
+whatever n_trials is: per worker, one workspace of k x 2^14 bool signs
+for the k distinct directions, one 8 x 2^14 float64 buffer for the
+projections of 8 directions at a time and a few trial columns,
+allocated once and reused by every block it reduces.  The unit axes of
 each block come from _unit_blocks, which simulate_ensemble copies out
 and chsh's Monte Carlo search reduces to azimuth-bin counts.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
+import threading
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -81,6 +86,9 @@ __all__ = [
 
 ORTHO_TOL = 1e-12
 BLOCK_TRIALS = 2**14  # even, so every balanced_exact block is balanced
+# directions projected per matrix product: a product this small stays on
+# one OpenBLAS thread, so pooled workers do not oversubscribe the cores
+_SLICE_ROWS = 8
 MAX_GRID_ROWS = 1_000_000
 
 _LAMBDA_MODES = ("fair_coin", "balanced_exact")
@@ -246,36 +254,41 @@ def _blocks(n: int):
 class _Workspace:
     """The buffers of one block over k distinct directions.
 
-    Allocated once per call and reused by every block: k x BLOCK_TRIALS
-    float64 projections and bool signs (9 bytes per direction and trial),
-    plus eight float64 trial columns for the raw and squared axes, the
-    norms and the per-trial minimum.  Reuse keeps the pages mapped: fresh
-    temporaries would be handed back to the OS at the end of each block
-    and faulted in again by the next (DECISIONS.md).  A block of m trials
-    uses the first m trials of each buffer, as contiguous views, so a
-    short last block takes the same matrix product as a full one.
+    Allocated once per worker and reused by every block it reduces: k x
+    BLOCK_TRIALS bool signs, one _SLICE_ROWS x BLOCK_TRIALS float64 buffer
+    for the projections of up to _SLICE_ROWS directions at a time, plus
+    nine float64 trial columns for the raw and squared axes, the norms and
+    the running and per-slice minimum.  Reuse keeps the pages mapped:
+    fresh temporaries would be handed back to the OS at the end of each
+    block and faulted in again by the next (DECISIONS.md).  A block of m
+    trials uses the first m trials of each buffer, as contiguous views, so
+    a short last block takes the same matrix products as a full one.
     """
 
     def __init__(self, k: int):
         self._k = k
         self._raw = np.empty(3 * BLOCK_TRIALS)
         self._squares = np.empty(3 * BLOCK_TRIALS)
-        self._proj = np.empty(k * BLOCK_TRIALS)
+        self._proj = np.empty(min(k, _SLICE_ROWS) * BLOCK_TRIALS)
         self._signs = np.empty(k * BLOCK_TRIALS, dtype=bool)
         self._norms = np.empty(BLOCK_TRIALS)
-        self._mins = np.empty(BLOCK_TRIALS)
+        self._mins = np.empty(2 * BLOCK_TRIALS)
 
     def views(self, m: int):
-        """(raw, squares, proj, signs, norms, mins) for an m-trial block."""
+        """(raw, squares, signs, norms, mins, slice_mins) for an m-trial block."""
         k = self._k
         return (
             self._raw[: 3 * m].reshape(m, 3),
             self._squares[: 3 * m].reshape(m, 3),
-            self._proj[: k * m].reshape(k, m),
             self._signs[: k * m].reshape(k, m),
             self._norms[:m],
             self._mins[:m],
+            self._mins[BLOCK_TRIALS : BLOCK_TRIALS + m],
         )
+
+    def projections(self, rows: int, m: int) -> np.ndarray:
+        """The (rows, m) projection buffer of one slice, rows <= _SLICE_ROWS."""
+        return self._proj[: rows * m].reshape(rows, m)
 
 
 def _draw_block(
@@ -292,7 +305,7 @@ def _draw_block(
     ORTHO_TOL |raw| in magnitude (views into work), then lam and r_a.
     """
     rng = np.random.Generator(np.random.Philox(key=int(config.seed), counter=[0, 0, 0, c]))
-    raw, squares, proj, signs, norms, mins = work.views(m)
+    raw, squares, signs, norms, mins, slice_mins = work.views(m)
     rng.standard_normal(out=raw)
 
     if config.lambda_mode == "balanced_exact":
@@ -305,15 +318,21 @@ def _draw_block(
     else:
         r_a = np.ones(m)
 
-    # the arithmetic of check below, written into the workspace; the signs
-    # are taken before proj is overwritten by its magnitudes
-    np.matmul(directions, raw.T, out=proj)
-    np.less(proj, 0, out=signs)
+    # the arithmetic of check below, written into the workspace _SLICE_ROWS
+    # directions at a time; the signs are taken before proj is overwritten
+    # by its magnitudes, and mins is the minimum over every slice
     np.multiply(raw, raw, out=squares)
     np.add.reduce(squares, axis=1, out=norms)
     np.sqrt(norms, out=norms)
-    np.abs(proj, out=proj)
-    np.minimum.reduce(proj, axis=0, out=mins)
+    mins.fill(np.inf)
+    for lo in range(0, len(directions), _SLICE_ROWS):
+        rows = directions[lo : lo + _SLICE_ROWS]
+        proj = work.projections(len(rows), m)
+        np.matmul(rows, raw.T, out=proj)
+        np.less(proj, 0, out=signs[lo : lo + _SLICE_ROWS])
+        np.abs(proj, out=proj)
+        np.minimum.reduce(proj, axis=0, out=slice_mins)
+        np.minimum(mins, slice_mins, out=mins)
     bad = (norms < 1e-9) | (mins < ORTHO_TOL * norms)
 
     def check(vectors: np.ndarray):
@@ -611,25 +630,78 @@ def _curve_rows(pairs, counts: np.ndarray, n: int):
     return rows
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker_count(threads: int, n_blocks: int) -> int:
+    """Workers for n_blocks blocks: threads, at most one per block and per usable CPU."""
+    return max(1, min(int(threads), n_blocks, _usable_cpus()))
+
+
+def _reduce_blocks(config: ExperimentConfig, directions, ia, ib, n: int, workers: int):
+    """Sum of _block_counts over every block of an n-trial ensemble, on workers workers.
+
+    Worker w reduces blocks w, w + workers, w + 2 workers, ... through a
+    _Workspace and a running sum of its own.  Worker 0 is the calling
+    thread and each other worker is a thread started here, so one worker
+    starts none.  The first exception of any worker stops the others at
+    their next block and is raised here once every thread has ended.
+    """
+    sums = [0] * workers
+    failures = []
+
+    def reduce(w: int):
+        work = _Workspace(len(directions))
+        for c, lo, hi in itertools.islice(_blocks(n), w, None, workers):
+            if failures:
+                return
+            sums[w] = sums[w] + _block_counts(config, directions, ia, ib, c, hi - lo, work)
+
+    def guarded(w: int):
+        try:
+            reduce(w)
+        except BaseException as err:
+            failures.append(err)
+
+    started = []
+    try:
+        for w in range(1, workers):
+            started.append(threading.Thread(target=guarded, args=(w,)))
+            started[-1].start()
+        reduce(0)
+    except BaseException as err:
+        failures.append(err)
+        raise
+    finally:
+        for thread in started:
+            thread.join()
+    if failures:
+        raise failures[0]
+    return sum(sums)
+
+
 def correlation_curve(config: ExperimentConfig, threads: int = 1):
     """CorrelationResult list over the configured pairs, one shared ensemble.
 
     The ensemble is never held in memory: each block of _draw_block is
-    reduced to _block_counts and the integer counts are added.  Memory is
-    one _Workspace of k x 2^14 x 9 bytes for the k distinct directions,
-    allocated once per call and reused by every block.  The rows equal
+    reduced to _block_counts and the integer counts are added.  The blocks
+    are split among _worker_count(threads, blocks) workers, each with one
+    _Workspace of about k x 2^14 bytes of signs for the k distinct
+    directions plus 2.1 MiB, reused by every block it reduces.  Integer
+    sums do not depend on how the blocks are grouped, so the rows are the
+    same bytes for any threads value and any worker count.  They equal
     raw_correlation and standard_score_correlation on
     simulate_ensemble(config) bit for bit, and the scalar product form is
-    computed once, from the whole ensemble's counts.  threads is accepted for compatibility and does
-    not change the work or the result.
+    computed once, from the whole ensemble's counts.
     """
     config.validate()
     n = int(config.n_trials)
     _require_trials(n, 2)
     pairs = config.resolved_pairs()
     directions, ia, ib = _pair_directions(pairs)
-    work = _Workspace(len(directions))
-    counts = sum(
-        _block_counts(config, directions, ia, ib, c, hi - lo, work) for c, lo, hi in _blocks(n)
-    )
-    return _curve_rows(pairs, counts, n)
+    workers = _worker_count(threads, -(-n // BLOCK_TRIALS))
+    return _curve_rows(pairs, _reduce_blocks(config, directions, ia, ib, n, workers), n)

@@ -61,3 +61,23 @@ def test_traced_chsh_searches_run_under_the_wrappers(monkeypatch):
     metrics = layers.metrics(tracer, 0, 0)
     assert metrics["chsh.guard.so3_saw.restarts"] == 1
     assert metrics["chsh.search.monte_carlo.s"] > 0.0
+
+
+def test_traced_pooled_curve_runs_under_the_wrappers(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layers
+    import tracing
+
+    monkeypatch.setattr(spin, "_usable_cpus", lambda: 2)
+    program = SimpleNamespace(spin=spin, chsh=chsh, frames=frames, oracle=oracle, cli=cli)
+    # four blocks on the default 37-angle grid, split between two workers
+    cfg = spin.ExperimentConfig(n_trials=3 * spin.BLOCK_TRIALS + 3, seed=1)
+    plain = spin.correlation_curve(cfg)
+    tracer = tracing.Tracer()
+    with tracer.installed(lambda t: layers.install(t, program)):
+        pooled = spin.correlation_curve(cfg, threads=2)
+    assert [(r.raw_mc, r.raw_stderr) for r in pooled] == [(r.raw_mc, r.raw_stderr) for r in plain]
+    assert [s["name"] for s in tracer.spans].count("spin.curve") == 1
+    metrics = layers.metrics(tracer, 0, 0)
+    assert metrics["spin.curve.s"] > 0.0
+    assert metrics["geometry.distance.calls"] == 2 * len(pooled) == 74

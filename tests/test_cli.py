@@ -122,6 +122,43 @@ def test_simulate_threads_byte_identical(tmp_path):
     assert one.read_bytes() == eight.read_bytes()
 
 
+# sha256 of the CSV of the README's simulate example
+README_SIMULATE_SHA256 = "df1a0eb48acbe9ec6b9044fc6adc25c0e5a502b000d0ee2e092aee17d415254a"
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "8"])
+def test_simulate_readme_config_bytes_for_any_threads(tmp_path, threads):
+    cfg = write_config(
+        tmp_path / "run.json",
+        n_trials=1_000_000,
+        seed=2026,
+        lambda_mode="fair_coin",
+        direction_pairs={"start_deg": 0.0, "stop_deg": 180.0, "step_deg": 5.0},
+    )
+    out = tmp_path / "curve.csv"
+    assert run(["simulate", str(cfg), "--threads", threads, "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == README_SIMULATE_SHA256
+
+
+def test_simulate_worker_memory_error_exits_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(spin, "_usable_cpus", lambda: 2)
+    original = spin._block_counts
+
+    def failing(config, directions, ia, ib, c, m, work):
+        if c == 1:
+            raise MemoryError("block 1")
+        return original(config, directions, ia, ib, c, m, work)
+
+    monkeypatch.setattr(spin, "_block_counts", failing)
+    cfg = write_config(tmp_path / "cfg.json", n_trials=4 * spin.BLOCK_TRIALS)
+    out = tmp_path / "s.csv"
+    # block 1 is reduced on the second worker's thread
+    assert run(["simulate", str(cfg), "--threads", "2", "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("spinsphere: input too large for memory") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_simulate_seed_override_changes_output(tmp_path):
     cfg = write_config(tmp_path / "cfg.json")
     base = tmp_path / "base.csv"

@@ -4,6 +4,8 @@ import hashlib
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -566,6 +568,141 @@ def test_correlation_curve_reuses_its_pages():
     )
     # fresh temporaries in each of the 62 blocks took about 66,500 faults
     assert int(out.stdout) < 6_000
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_minflt counts minor faults on Linux")
+def test_pooled_correlation_curve_reuses_its_pages():
+    # the threads=2 twin of the test above: one workspace per worker
+    code = (
+        "import resource; from spinsphere import spin; "
+        "cfg = spin.ExperimentConfig(n_trials=1_000_000, seed=2026); "
+        "spin.correlation_curve(cfg, threads=2); "
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt; "
+        "spin.correlation_curve(cfg, threads=2); "
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)"
+    )
+    src = str(Path(spin.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert int(out.stdout) < 6_000
+
+
+def test_workspace_memory_grows_by_the_signs_per_direction():
+    import tracemalloc
+
+    def peak(step_deg):
+        cfg = make_config(
+            n_trials=2 * spin.BLOCK_TRIALS,
+            lambda_mode="fair_coin",
+            direction_pairs={"start_deg": 0.0, "stop_deg": 180.0, "step_deg": step_deg},
+        )
+        tracemalloc.start()
+        try:
+            spin.correlation_curve(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # k = 37 distinct directions against k = 361; the float64 projections
+    # (128 KiB per direction unsliced) no longer grow with k, the 16 KiB
+    # of bool signs per direction still do
+    per_direction = (peak(0.5) - peak(5.0)) / (361 - 37)
+    assert per_direction <= 32 * 1024
+
+
+def curve_bytes(rows):
+    return [
+        np.array(
+            [
+                r.raw_mc,
+                r.raw_stderr,
+                r.standard_score_scalar,
+                r.standard_score_residual_bivector_norm,
+                r.scalar_product_form,
+            ]
+        ).tobytes()
+        for r in rows
+    ]
+
+
+@pytest.mark.parametrize("tol", [spin.ORTHO_TOL, 0.05])
+def test_pooled_rows_are_the_same_bytes_for_any_worker_count(tol, monkeypatch):
+    # five full blocks and a short one; 0.05 sends many trials through redraws
+    configs = STREAM_CONFIGS if tol == spin.ORTHO_TOL else REDRAW_CONFIGS
+    settings = configs["fair_coin_grid"]
+    cfg = make_config(n_trials=5 * spin.BLOCK_TRIALS + 3, **settings)
+    monkeypatch.setattr(spin, "ORTHO_TOL", tol)
+    monkeypatch.setattr(spin, "_usable_cpus", lambda: 8)
+    original = spin._block_counts
+    ran = {}
+
+    def recorded(config, directions, ia, ib, c, m, work):
+        ran[c] = threading.current_thread()
+        return original(config, directions, ia, ib, c, m, work)
+
+    monkeypatch.setattr(spin, "_block_counts", recorded)
+    rows = {}
+    interval = sys.getswitchinterval()
+    # frequent thread switches, with more workers than a 2-core host has cores
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (1, 2, 3):
+            ran.clear()
+            rows[threads] = curve_bytes(spin.correlation_curve(cfg, threads=threads))
+            # every block once, on as many threads as workers, in strides
+            assert sorted(ran) == list(range(6))
+            assert len(set(ran.values())) == threads
+            assert all(ran[c] is ran[c % threads] for c in ran)
+    finally:
+        sys.setswitchinterval(interval)
+    assert rows[1] == rows[2] == rows[3]
+
+
+def test_worker_count_is_capped_by_blocks_and_usable_cpus(monkeypatch):
+    before = threading.active_count()
+    cpus = spin._usable_cpus()
+    assert 1 <= cpus <= os.cpu_count()
+    assert spin._worker_count(100_000, 62) == min(cpus, 62)
+    assert spin._worker_count(100_000, 1) == 1
+    assert spin._worker_count(1, 62) == 1
+    monkeypatch.setattr(spin, "_usable_cpus", lambda: 64)
+    assert spin._worker_count(100_000, 62) == 62
+    assert spin._worker_count(3, 62) == 3
+    assert threading.active_count() == before
+
+
+def test_a_failing_worker_raises_in_the_caller(monkeypatch):
+    monkeypatch.setattr(spin, "_usable_cpus", lambda: 2)
+    original = spin._block_counts
+    ran, failed = [], []
+
+    def failing(config, directions, ia, ib, c, m, work):
+        ran.append(c)
+        if c == 3:
+            failed.append(threading.current_thread())
+            raise MemoryError("block 3")
+        if c == 4:
+            # the calling thread's block 4, if it gets that far, ends after
+            # the failed worker has
+            deadline = time.monotonic() + 60
+            while not failed and time.monotonic() < deadline:
+                time.sleep(0.001)
+            failed[0].join(timeout=60)
+            assert not failed[0].is_alive()
+        return original(config, directions, ia, ib, c, m, work)
+
+    monkeypatch.setattr(spin, "_block_counts", failing)
+    cfg = make_config(n_trials=40 * spin.BLOCK_TRIALS, direction_pairs=[(E3, E1)])
+    before = threading.active_count()
+    # block 3 is the second block of worker 1, a thread of its own
+    with pytest.raises(MemoryError, match="block 3"):
+        spin.correlation_curve(cfg, threads=2)
+    assert threading.active_count() == before
+    # the calling thread stops at its next block instead of reducing all 20
+    assert 3 in ran and max(ran) <= 4
 
 
 def test_correlation_curve_references():
