@@ -12,9 +12,9 @@ quadruple is reported only if it beats the grid.  The Monte Carlo table
 holds exact integer sums of per-trial products, so every grid string it
 reports is the ensemble mean of per-trial strings and never exceeds the
 local bound of 2; the bound also forces the reported value, 2 for every
-ensemble.  The ensemble is streamed: each block is reduced to 360
-azimuth-bin counts and its rare edge trials, the table follows from arc
-sums of the bins, and memory does not grow with the trial count.  The
+ensemble.  The ensemble is streamed on spin's pool: each block gives
+360 azimuth-bin counts and its edge trials' table, the table follows
+from arc sums, and memory does not grow with the trial count.  The
 classic maximum for the cosine correlator is 2 sqrt(2) at
 (0, 90, 225, 135) degrees; the saw correlator tops out at 2, already on
 degenerate quadruples.
@@ -32,10 +32,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import algebra
+from . import algebra, spin
 from .errors import InvalidConfig, OptimizerBudgetExceeded
 from .geometry import separation_angle, so3_distance
-from .spin import ExperimentConfig, _unit_blocks, raw_correlation
+from .spin import ExperimentConfig, raw_correlation
 from .spin import simulate_ensemble  # unused here; bench/layers.py wraps this binding
 
 __all__ = [
@@ -58,6 +58,7 @@ GRID_STEP_DEG = 1.0  # coplanar grid and correlation table resolution
 _COUNT = int(round(360.0 / GRID_STEP_DEG))  # grid directions
 EDGE_TOL_DEG = 1e-9  # azimuths this close to a grid direction take the dot-product path
 TIE_MARGIN = 1e-12  # a grid string replaces the best only above best + TIE_MARGIN
+_GRID_ROWS = 20  # values of u per vectorized step of the grid max; bounds its temporaries
 RESTARTS = 100  # full-sphere starts in the guard
 
 _KINDS = ("su2_cosine", "so3_saw", "monte_carlo")
@@ -108,6 +109,7 @@ class OptimizerConfig:
     budget: int = 5_000_000
     seed: int = 2026
     mc_trials: int = 1_000_000
+    threads: int = 1  # workers for the Monte Carlo table, as in spin.correlation_curve
 
 
 class VarianceBound(NamedTuple):
@@ -216,21 +218,32 @@ def _planar_direction(angle_rad: float) -> np.ndarray:
 
 
 def _azimuth_bins(s: np.ndarray):
-    """(bins, on_edge) of unit axes s: azimuth-bin counts and edge trials.
+    """(bins, edge_counts) of unit axes s: azimuth-bin counts and the edge trials' table.
 
     bins[k] counts the trials whose azimuth lies strictly inside bin k,
-    more than EDGE_TOL_DEG from every grid direction.  on_edge holds the
-    axes of the others, within EDGE_TOL_DEG of a grid direction (s_x =
-    s_y = 0 among them: atan2 gives 0 or 180 degrees); a drawn ensemble
-    has about 2e-9 of them per trial.
+    more than EDGE_TOL_DEG from every grid direction.  The others lie
+    within EDGE_TOL_DEG of a grid direction (s_x = s_y = 0 among them:
+    atan2 gives 0 or 180 degrees), about 2e-9 of a drawn ensemble's
+    trials.  Their sign rows E come from raw_correlation's own
+    per-direction dot products, which keep sign(0) = 0 and the rounding
+    of near-orthogonal s.d (a matrix product may round those
+    differently), and edge_counts = E.T @ E, or 0 without edge trials.
+    No array is compacted: the bins fold counts of every trial (DECISIONS.md).
     """
     azimuth = np.degrees(np.arctan2(s[:, 1], s[:, 0])) / GRID_STEP_DEG
     edge = np.abs(azimuth - np.rint(azimuth)) * GRID_STEP_DEG <= EDGE_TOL_DEG
-    bins = np.bincount(np.floor(azimuth[~edge]).astype(np.int64) % _COUNT, minlength=_COUNT)
-    return bins, s[edge]
+    index = np.floor(azimuth).astype(np.intp) + _COUNT // 2
+    counts = np.bincount(index, minlength=_COUNT + 1)
+    counts -= np.bincount(index[edge], minlength=_COUNT + 1)
+    bins = np.roll(counts[:_COUNT], _COUNT // 2)
+    if not edge.any():
+        return bins, 0
+    directions = [_planar_direction(np.radians(k * GRID_STEP_DEG)) for k in range(_COUNT)]
+    signs = np.stack([np.sign(s[edge] @ d) for d in directions], axis=1).astype(np.int64)
+    return bins, signs.T @ signs
 
 
-def _table_from_bins(bins: np.ndarray, on_edge: np.ndarray) -> np.ndarray:
+def _table_from_bins(bins: np.ndarray, edge_counts) -> np.ndarray:
     """C[i, j] = sum over trials of sign(s.d_i) sign(-s.d_j) from _azimuth_bins.
 
     A trial in bin k is more than EDGE_TOL_DEG from orthogonal to every
@@ -242,10 +255,7 @@ def _table_from_bins(bins: np.ndarray, on_edge: np.ndarray) -> np.ndarray:
     the two arcs [i - q, i - q + d) and [i + q, i + q + d); for larger d,
     i and j swap and d becomes 360 - d.  Each arc sum is a difference of
     one prefix sum of the bins tiled twice, all in int64, so the table is
-    exact.  An edge trial is scored by raw_correlation's own
-    per-direction dot products, which keeps sign(0) = 0 and the rounding
-    of near-orthogonal s.d (a matrix product may round those
-    differently); its sign rows E add E.T @ E.
+    exact; edge_counts adds the edge trials.
     """
     quarter = _COUNT // 4
     i, j = np.ogrid[:_COUNT, :_COUNT]
@@ -260,9 +270,7 @@ def _table_from_bins(bins: np.ndarray, on_edge: np.ndarray) -> np.ndarray:
         return prefix[start + length] - prefix[start]
 
     differ = arc(first) + arc(first + 2 * quarter)
-    directions = [_planar_direction(np.radians(k * GRID_STEP_DEG)) for k in range(_COUNT)]
-    edge = np.stack([np.sign(on_edge @ d) for d in directions], axis=1).astype(np.int64)
-    return 2 * differ - bins.sum() - edge.T @ edge
+    return 2 * differ - bins.sum() - edge_counts
 
 
 def _planar_count_table(trials) -> np.ndarray:
@@ -274,19 +282,24 @@ def _planar_count_table(trials) -> np.ndarray:
     return _table_from_bins(*_azimuth_bins(trials.s))
 
 
-def _streamed_count_table(config: ExperimentConfig) -> np.ndarray:
+def _block_tally(config: ExperimentConfig, directions, c: int, m: int, work) -> np.ndarray:
+    """Block c's _azimuth_bins of its unit axes raw / norms, as a pair that adds up."""
+    raw, norms, _, _, _ = spin._draw_block(config, directions, c, m, work)
+    tally = np.empty(2, dtype=object)  # the pool's running sums add it element-wise
+    tally[0], tally[1] = _azimuth_bins(np.divide(raw, norms[:, None], out=raw))
+    return tally
+
+
+def _streamed_count_table(config: ExperimentConfig, threads: int = 1) -> np.ndarray:
     """_planar_count_table(simulate_ensemble(config)) without the ensemble.
 
-    The blocks of spin._unit_blocks are reduced to azimuth-bin counts as
-    they are drawn; only the 360 counts and the edge trials outlive a
-    block, so memory stays bounded whatever n_trials is.
+    spin._reduce_blocks sums _block_tally over the blocks on up to threads
+    workers; the integer sums do not depend on the worker count, and
+    memory stays bounded whatever n_trials is.
     """
-    bins, on_edge = np.zeros(_COUNT, dtype=np.int64), []
-    for _, _, s, _, _ in _unit_blocks(config):
-        block_bins, block_edge = _azimuth_bins(s)
-        bins += block_bins
-        on_edge.append(block_edge)
-    return _table_from_bins(bins, np.concatenate(on_edge))
+    directions = spin._pair_directions(config.resolved_pairs())[0]
+    n, k = int(config.n_trials), len(directions)
+    return _table_from_bins(*spin._reduce_blocks(n, k, threads, _block_tally, config, directions))
 
 
 def _coplanar_grid_max(table: np.ndarray):
@@ -295,20 +308,22 @@ def _coplanar_grid_max(table: np.ndarray):
     table[i, j] is E (or an integer count) between grid directions i and
     j.  With A = table[0] + table[u] and B = table[0] - table[u] the
     string at (0, u, v, w) is A[v] + B[w], so each u needs only the
-    extrema of A and B.  Ties, rounding noise included, keep the lowest
-    (u, v, w): argmax hits first, and a new best must clear TIE_MARGIN.
+    extrema of A and B, taken for _GRID_ROWS values of u at a time.  Ties,
+    rounding noise included, keep the lowest (u, v, w): argmax hits
+    first, and a new best must clear TIE_MARGIN in the scan of each u's
+    maximum then minimum string.
     """
     best = (-1.0, 0, 0, 0)
-    for u in range(table.shape[0]):
-        A = table[0] + table[u]
-        B = table[0] - table[u]
-        v_hi, v_lo = int(np.argmax(A)), int(np.argmin(A))
-        w_hi, w_lo = int(np.argmax(B)), int(np.argmin(B))
-        hi = A[v_hi] + B[w_hi]
-        lo = A[v_lo] + B[w_lo]
-        for value, v, w in ((abs(hi), v_hi, w_hi), (abs(lo), v_lo, w_lo)):
+    for lo in range(0, table.shape[0], _GRID_ROWS):
+        rows = table[lo : lo + _GRID_ROWS]
+        A, B = table[0] + rows, table[0] - rows
+        v = np.stack([A.argmax(axis=1), A.argmin(axis=1)], axis=1)
+        w = np.stack([B.argmax(axis=1), B.argmin(axis=1)], axis=1)
+        values = np.abs(np.take_along_axis(A, v, 1) + np.take_along_axis(B, w, 1))
+        candidates = zip(values.ravel().tolist(), v.ravel().tolist(), w.ravel().tolist())
+        for k, (value, vk, wk) in enumerate(candidates):
             if value > best[0] + TIE_MARGIN:
-                best = (value, u, v, w)
+                best = (value, lo + k // 2, vk, wk)
     return best
 
 
@@ -411,7 +426,8 @@ def maximize_chsh(
     string is 2 sign(s.x) sign(-s.b) = +-2, and b = -x-hat makes all of
     them +2 ((0, 0, 180, 0) at 1M trials on every seed tried), so neither
     the value nor the argmax depends on the ensemble.  The ensemble is
-    streamed block by block (_streamed_count_table), never held whole.
+    streamed block by block on cfg.threads workers (_streamed_count_table),
+    never held whole, and the report is the same bytes for any count.
     """
     if correlation_kind not in _KINDS:
         raise InvalidConfig(f"unknown correlation_kind {correlation_kind!r}")
@@ -422,7 +438,7 @@ def maximize_chsh(
         budget.spend(_COUNT * _COUNT)
         x_hat = _planar_direction(0.0)  # a of every grid string; redraw-check it
         draw = ExperimentConfig(cfg.mc_trials, cfg.seed, direction_pairs=[(x_hat, x_hat)])
-        table = _streamed_count_table(draw.validate())
+        table = _streamed_count_table(draw.validate(), cfg.threads)
     else:
         correlator, law = {
             "su2_cosine": (su2_cosine_correlator, _cosine_law),

@@ -194,7 +194,7 @@ def cmd_torsion_check(args) -> int:
 
 
 def cmd_chsh(args) -> int:
-    config = chsh_mod.OptimizerConfig(budget=args.budget)
+    config = chsh_mod.OptimizerConfig(budget=args.budget, threads=args.threads)
     if args.seed is not None:
         config.seed = args.seed
     report = chsh_mod.maximize_chsh(args.kind, config)
@@ -236,9 +236,9 @@ def _common_flags(parser, suppress: bool) -> None:
         "--threads",
         type=_positive_int,
         default=argparse.SUPPRESS if suppress else 1,
-        help="workers for simulate: the ensemble's blocks are split among "
-        "min(THREADS, blocks, usable CPUs) workers, each a thread with its own "
-        "workspace; the output is identical for any value",
+        help="workers for simulate and chsh --kind monte_carlo: the ensemble's "
+        "blocks are split among min(THREADS, blocks, usable CPUs) workers, each "
+        "a thread with its own workspace; the output is identical for any value",
     )
 
 

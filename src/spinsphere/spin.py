@@ -29,9 +29,10 @@ number of workers the blocks are split among.  Memory stays bounded
 whatever n_trials is: per worker, one workspace of k x 2^14 bool signs
 for the k distinct directions, one 8 x 2^14 float64 buffer for the
 projections of 8 directions at a time and a few trial columns,
-allocated once and reused by every block it reduces.  The unit axes of
-each block come from _unit_blocks, which simulate_ensemble copies out
-and chsh's Monte Carlo search reduces to azimuth-bin counts.
+allocated once and reused by every block it reduces.  Every consumer
+of the stream runs on _reduce_blocks with a reducer of its own:
+correlation_curve's _block_counts, simulate_ensemble's copy of each
+block and chsh's azimuth-bin counts for the Monte Carlo table.
 """
 
 from __future__ import annotations
@@ -322,7 +323,9 @@ def _draw_block(
     # directions at a time; the signs are taken before proj is overwritten
     # by its magnitudes, and mins is the minimum over every slice
     np.multiply(raw, raw, out=squares)
-    np.add.reduce(squares, axis=1, out=norms)
+    # add.reduce's own left-to-right order, without its cost on a length-3 axis
+    np.add(squares[:, 0], squares[:, 1], out=norms)
+    np.add(norms, squares[:, 2], out=norms)
     np.sqrt(norms, out=norms)
     mins.fill(np.inf)
     for lo in range(0, len(directions), _SLICE_ROWS):
@@ -349,34 +352,25 @@ def _draw_block(
     return raw, norms, signs, lam, r_a
 
 
-def _unit_blocks(config: ExperimentConfig):
-    """(lo, hi, s, lam, r_a) of each block of a validated config's ensemble.
-
-    s holds the block's unit axes raw / norms of _draw_block, redraw-checked
-    against the config's distinct directions.  Every block goes through
-    one _Workspace and one 2^14 x 3 buffer, so s is a view that the next
-    block overwrites: memory stays bounded whatever n_trials is.
-    """
-    directions = _pair_directions(config.resolved_pairs())[0]
-    work = _Workspace(len(directions))
-    unit = np.empty((BLOCK_TRIALS, 3))
-    for c, lo, hi in _blocks(int(config.n_trials)):
-        raw, norms, _, lam, r_a = _draw_block(config, directions, c, hi - lo, work)
-        yield lo, hi, np.divide(raw, norms[:, None], out=unit[: hi - lo]), lam, r_a
-
-
 def simulate_ensemble(config: ExperimentConfig) -> TrialEnsemble:
     """Generate the trial ensemble for a validated config, block by block.
 
-    The trials are those of _unit_blocks, in block order; the redraw
-    check runs once per distinct direction (the default grid repeats
-    z-hat in every pair).
+    Each block's unit axes raw / norms of _draw_block, lam and r_a are
+    written into the ensemble's columns; the redraw check runs once per
+    distinct direction (the default grid repeats z-hat in every pair).
     """
     config.validate()
     n = int(config.n_trials)
+    directions = _pair_directions(config.resolved_pairs())[0]
     s, lam, r_a = np.empty((n, 3)), np.empty(n, dtype=np.int8), np.empty(n)
-    for lo, hi, unit, block_lam, block_r_a in _unit_blocks(config):
-        s[lo:hi], lam[lo:hi], r_a[lo:hi] = unit, block_lam, block_r_a
+
+    def write(c: int, m: int, work: _Workspace) -> int:
+        lo, hi = c * BLOCK_TRIALS, c * BLOCK_TRIALS + m
+        raw, norms, _, lam[lo:hi], r_a[lo:hi] = _draw_block(config, directions, c, m, work)
+        np.divide(raw, norms[:, None], out=s[lo:hi])
+        return 0
+
+    _reduce_blocks(n, len(directions), 1, write)
     return TrialEnsemble(s=s, lam=lam, r_a=r_a)
 
 
@@ -642,24 +636,26 @@ def _worker_count(threads: int, n_blocks: int) -> int:
     return max(1, min(int(threads), n_blocks, _usable_cpus()))
 
 
-def _reduce_blocks(config: ExperimentConfig, directions, ia, ib, n: int, workers: int):
-    """Sum of _block_counts over every block of an n-trial ensemble, on workers workers.
+def _reduce_blocks(n: int, k: int, threads: int, reducer, *args):
+    """Sum of reducer(*args, c, m, work) over the blocks (c, m trials) of n trials.
 
-    Worker w reduces blocks w, w + workers, w + 2 workers, ... through a
-    _Workspace and a running sum of its own.  Worker 0 is the calling
+    Worker w of _worker_count(threads, blocks) workers reduces blocks w,
+    w + workers, w + 2 workers, ... through a _Workspace over k
+    directions and a running sum of its own.  Worker 0 is the calling
     thread and each other worker is a thread started here, so one worker
     starts none.  The first exception of any worker stops the others at
     their next block and is raised here once every thread has ended.
     """
+    workers = _worker_count(threads, -(-n // BLOCK_TRIALS))
     sums = [0] * workers
     failures = []
 
     def reduce(w: int):
-        work = _Workspace(len(directions))
+        work = _Workspace(k)
         for c, lo, hi in itertools.islice(_blocks(n), w, None, workers):
             if failures:
                 return
-            sums[w] = sums[w] + _block_counts(config, directions, ia, ib, c, hi - lo, work)
+            sums[w] = sums[w] + reducer(*args, c, hi - lo, work)
 
     def guarded(w: int):
         try:
@@ -703,5 +699,5 @@ def correlation_curve(config: ExperimentConfig, threads: int = 1):
     _require_trials(n, 2)
     pairs = config.resolved_pairs()
     directions, ia, ib = _pair_directions(pairs)
-    workers = _worker_count(threads, -(-n // BLOCK_TRIALS))
-    return _curve_rows(pairs, _reduce_blocks(config, directions, ia, ib, n, workers), n)
+    counts = _reduce_blocks(n, len(directions), threads, _block_counts, config, directions, ia, ib)
+    return _curve_rows(pairs, counts, n)

@@ -81,3 +81,27 @@ def test_traced_pooled_curve_runs_under_the_wrappers(monkeypatch):
     metrics = layers.metrics(tracer, 0, 0)
     assert metrics["spin.curve.s"] > 0.0
     assert metrics["geometry.distance.calls"] == 2 * len(pooled) == 74
+
+
+def test_pooled_monte_carlo_search_keeps_the_wrapped_bindings(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layers
+    import tracing
+
+    program = SimpleNamespace(spin=spin, chsh=chsh, frames=frames, oracle=oracle, cli=cli)
+    modules = (spin, chsh, frames, oracle, cli)
+    before = [dict(vars(m)) for m in modules]
+    # wrapped by the bench although the search calls none of them
+    kept = ((chsh, "simulate_ensemble"), (chsh, "monte_carlo_correlator"), (spin, "raw_correlation"))
+    tracer = tracing.Tracer()
+    with tracer.installed(lambda t: layers.install(t, program)):
+        for module, name in kept:
+            assert getattr(module, name) is not before[modules.index(module)][name]
+        cfg = chsh.OptimizerConfig(mc_trials=1000, threads=2)
+        report = chsh.maximize_chsh("monte_carlo", cfg)
+    assert report.chsh_value == 2.0
+    for module, bindings in zip(modules, before):
+        assert vars(module).keys() == bindings.keys()
+        assert all(vars(module)[name] is value for name, value in bindings.items())
+    names = [s["name"] for s in tracer.spans]
+    assert names.count("chsh.search.monte_carlo") == 1

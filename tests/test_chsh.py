@@ -1,5 +1,7 @@
 """CHSH string, torsion commutator, variance bound, and the maximizer."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -482,3 +484,130 @@ def test_guard_charges_its_budget_inside_minimize(monkeypatch):
     with pytest.raises(OptimizerBudgetExceeded):
         chsh.maximize_chsh("su2_cosine", config)
     assert raised == [True]
+
+
+def per_u_grid_max(table):
+    """The coplanar grid max as one Python step per u, kept as the reference."""
+    best = (-1.0, 0, 0, 0)
+    for u in range(table.shape[0]):
+        A = table[0] + table[u]
+        B = table[0] - table[u]
+        v_hi, v_lo = int(np.argmax(A)), int(np.argmin(A))
+        w_hi, w_lo = int(np.argmax(B)), int(np.argmin(B))
+        hi = A[v_hi] + B[w_hi]
+        lo = A[v_lo] + B[w_lo]
+        for value, v, w in ((abs(hi), v_hi, w_hi), (abs(lo), v_lo, w_lo)):
+            if value > best[0] + chsh.TIE_MARGIN:
+                best = (value, u, v, w)
+    return best
+
+
+def assert_grid_max_matches_the_per_u_loop(table):
+    got, want = chsh._coplanar_grid_max(table), per_u_grid_max(table)
+    assert got[1:] == want[1:]
+    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["su2_cosine", "so3_saw"])
+def test_grid_max_matches_the_per_u_loop_on_circulant_views(monkeypatch, kind):
+    tables = []
+    grid_max = chsh._coplanar_grid_max
+
+    def capture(table):
+        tables.append(table)
+        return grid_max(table)
+
+    monkeypatch.setattr(chsh, "_coplanar_grid_max", capture)
+    chsh.maximize_chsh(kind)
+    (table,) = tables
+    assert not table.flags.owndata  # the zero-copy sliding-window view
+    assert_grid_max_matches_the_per_u_loop(table)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 2026])
+def test_grid_max_matches_the_per_u_loop_on_count_tables(seed):
+    cfg = spin.ExperimentConfig(1_000_000, seed, direction_pairs=[(E1, E1)]).validate()
+    table = chsh._streamed_count_table(cfg)
+    assert table.dtype == np.int64
+    assert_grid_max_matches_the_per_u_loop(table)
+
+
+def test_grid_max_matches_the_per_u_loop_on_tied_tables():
+    rng = np.random.default_rng(16)
+    for trial in range(200):
+        # sizes below, at and past a multiple of the 45-row step
+        n = int(rng.choice([1, 2, 44, 45, 46, 91, 180, 360]))
+        table = rng.integers(-2, 3, size=(n, n))  # exact ties everywhere
+        if trial % 3 == 1:
+            table = table.astype(float)
+        elif trial % 3 == 2:
+            # ties broken by up to a few TIE_MARGIN, so strings fall on both sides of it
+            nudge = rng.integers(-1, 2, size=(n, n)) * rng.uniform(0.0, 2.0, size=(n, n))
+            table = table + nudge * chsh.TIE_MARGIN
+        assert_grid_max_matches_the_per_u_loop(table)
+
+
+@pytest.mark.parametrize(
+    "ortho_tol, edge_tol_deg",
+    # plain blocks; redraw-heavy blocks; a few edge trials in every block, so
+    # the workers add edge tables of their own
+    [(spin.ORTHO_TOL, chsh.EDGE_TOL_DEG), (0.05, chsh.EDGE_TOL_DEG), (spin.ORTHO_TOL, 1e-4)],
+)
+def test_pooled_count_table_is_the_same_for_any_worker_count(monkeypatch, ortho_tol, edge_tol_deg):
+    # five full blocks and a short one
+    cfg = spin.ExperimentConfig(5 * spin.BLOCK_TRIALS + 3, 19, direction_pairs=[(E1, E1)])
+    cfg.validate()
+    monkeypatch.setattr(spin, "ORTHO_TOL", ortho_tol)
+    monkeypatch.setattr(chsh, "EDGE_TOL_DEG", edge_tol_deg)
+    monkeypatch.setattr(spin, "_usable_cpus", lambda: 8)
+    original = chsh._block_tally
+    ran, edged = {}, set()
+
+    def recorded(config, directions, c, m, work):
+        ran[c] = threading.current_thread()
+        tally = original(config, directions, c, m, work)
+        if np.ndim(tally[1]) == 2:
+            edged.add(c)
+        return tally
+
+    monkeypatch.setattr(chsh, "_block_tally", recorded)
+    tables = {}
+    interval = sys.getswitchinterval()
+    # frequent thread switches, with more workers than a 2-core host has cores
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (1, 2, 3):
+            ran.clear()
+            tables[threads] = chsh._streamed_count_table(cfg, threads)
+            # every block once, on as many threads as workers, in strides
+            assert sorted(ran) == list(range(6))
+            assert len(set(ran.values())) == threads
+            assert all(ran[c] is ran[c % threads] for c in ran)
+    finally:
+        sys.setswitchinterval(interval)
+    # about 3 edge trials in each full block at 1e-4 degrees, none in the drawn ensemble at 1e-9
+    assert edged == (set(range(5)) if edge_tol_deg == 1e-4 else set())
+    assert tables[1].dtype == np.int64
+    assert tables[1].tobytes() == tables[2].tobytes() == tables[3].tobytes()
+    assert np.array_equal(tables[1], chsh._planar_count_table(spin.simulate_ensemble(cfg)))
+
+
+def test_a_failing_chsh_reducer_raises_in_the_caller(monkeypatch):
+    monkeypatch.setattr(spin, "_usable_cpus", lambda: 2)
+    original = chsh._block_tally
+    failed = []
+
+    def failing(config, directions, c, m, work):
+        if c == 3:
+            failed.append(threading.current_thread())
+            raise MemoryError("block 3")
+        return original(config, directions, c, m, work)
+
+    monkeypatch.setattr(chsh, "_block_tally", failing)
+    before = threading.active_count()
+    cfg = chsh.OptimizerConfig(mc_trials=8 * spin.BLOCK_TRIALS, threads=2)
+    # block 3 is the second block of worker 1, a thread of its own
+    with pytest.raises(MemoryError, match="block 3"):
+        chsh.maximize_chsh("monte_carlo", cfg)
+    assert failed and failed[0] is not threading.main_thread()
+    assert threading.active_count() == before

@@ -272,6 +272,17 @@ def test_chsh_monte_carlo_bytes(tmp_path):
     assert digest == "5072e6b130940a30cf0070dc89586e9b22832b50ce4cdc9ed045b88a2b648d24"
 
 
+@pytest.mark.parametrize("threads", ["1", "2", "8"])
+def test_chsh_monte_carlo_bytes_for_any_threads(tmp_path, monkeypatch, threads):
+    # as many workers as asked for, up to the 62 blocks, whatever the host
+    monkeypatch.setattr(spin, "_usable_cpus", lambda: 8)
+    out = tmp_path / "c.json"
+    argv = ["chsh", "--kind", "monte_carlo", "--seed", "7", "--threads", threads]
+    assert run(argv + ["--output", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "5072e6b130940a30cf0070dc89586e9b22832b50ce4cdc9ed045b88a2b648d24"
+
+
 @pytest.mark.parametrize("value", ["0", "-5"])
 def test_chsh_budget_must_be_positive(tmp_path, capsys, value):
     out = tmp_path / "c.json"

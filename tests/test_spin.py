@@ -712,3 +712,44 @@ def test_correlation_curve_references():
     assert res.so3_reference == geometry.so3_distance(np.pi / 2)
     assert -1.0 <= res.raw_mc <= 1.0
     assert -1.0 <= res.standard_score_scalar <= 1.0
+
+
+class ScaledNormals:
+    """A numpy Generator whose standard normals come out multiplied by scale."""
+
+    def __init__(self, generator, scale, redraws):
+        self._generator, self._scale, self._redraws = generator, scale, redraws
+
+    def standard_normal(self, size=None, out=None):
+        if out is None:
+            self._redraws.append(size)
+        normals = self._generator.standard_normal(size, out=out)
+        normals *= self._scale
+        return normals
+
+    def __getattr__(self, name):
+        return getattr(self._generator, name)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("tol", [spin.ORTHO_TOL, 0.05])
+def test_draw_block_norms_equal_linalg_norm(scale, tol, monkeypatch):
+    # the two-add norm sum of the first draw and the redraw check's
+    # np.linalg.norm must agree bit for bit
+    redraws = []
+    generator = np.random.Generator
+    monkeypatch.setattr(
+        np.random, "Generator", lambda bits: ScaledNormals(generator(bits), scale, redraws)
+    )
+    monkeypatch.setattr(spin, "ORTHO_TOL", tol)
+    cfg = make_config(
+        n_trials=2 * spin.BLOCK_TRIALS + 3, lambda_mode="fair_coin", direction_pairs=GRID_7
+    )
+    directions = spin._pair_directions(cfg.validate().resolved_pairs())[0]
+    work = spin._Workspace(len(directions))
+    for c, lo, hi in spin._blocks(cfg.n_trials):
+        raw, norms = spin._draw_block(cfg, directions, c, hi - lo, work)[:2]
+        assert np.abs(np.log10(norms / scale)).max() < 2
+        assert norms.tobytes() == np.linalg.norm(raw, axis=1).tobytes()
+    # a tolerance this wide sends trials of every block through redraws
+    assert len(redraws) >= 3 if tol == 0.05 else not redraws
