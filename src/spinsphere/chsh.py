@@ -3,21 +3,21 @@
 The string E(a,b) + E(a,b') + E(a',b) - E(a',b') is evaluated for three
 correlators: the smooth cosine law, the quotient saw, and
 spin.raw_correlation on a fixed ensemble redraw-checked against x-hat,
-the setting a of every grid string.  The maximizer runs a coplanar
-1-degree grid over a table of E between every two grid directions.  For
-the closed forms a full-sphere guard then checks the grid's coplanarity
-assumption by ascending 100 random quadruples at once, in one L-BFGS-B
-run on the analytic gradient of each law in the dot products; its
-quadruple is reported only if it beats the grid.  The Monte Carlo table
-holds exact integer sums of per-trial products, so every grid string it
-reports is the ensemble mean of per-trial strings and never exceeds the
-local bound of 2; the bound also forces the reported value, 2 for every
-ensemble.  The ensemble is streamed on spin's pool: each block gives
-360 azimuth-bin counts and its edge trials' table, the table follows
-from arc sums, and memory does not grow with the trial count.  The
-classic maximum for the cosine correlator is 2 sqrt(2) at
-(0, 90, 225, 135) degrees; the saw correlator tops out at 2, already on
-degenerate quadruples.
+the setting a of every grid string.  The maximizer has one stage: a
+coplanar 1-degree grid over a table of E between every two grid
+directions.  For the closed forms the grid attains the proven maxima
+over all unit vectors, so no full-sphere search can beat it: |S| <=
+2 sqrt(2) for the cosine law (Cirel'son, Lett. Math. Phys. 4, 93
+(1980)), reached at (0, 90, 225, 135) degrees, and |S| <= 2 for the
+saw, the correlation of a local +-1 model (Clauser, Horne, Shimony and
+Holt, PRL 23, 880 (1969)), reached already on degenerate quadruples.
+The Monte Carlo table holds exact integer sums of per-trial products,
+so every grid string it reports is the ensemble mean of per-trial
+strings and never exceeds the local bound of 2; the bound also forces
+the reported value, 2 for every ensemble.  The ensemble is streamed on
+spin's pool: each block gives 360 azimuth-bin counts and its edge
+trials' table, the table follows from arc sums, and memory does not
+grow with the trial count.
 
 The two stations' scores are kept in separate algebra copies: a string
 evaluation never multiplies an a-side element by a b-side element, so
@@ -59,7 +59,6 @@ _COUNT = int(round(360.0 / GRID_STEP_DEG))  # grid directions
 EDGE_TOL_DEG = 1e-9  # azimuths this close to a grid direction take the dot-product path
 TIE_MARGIN = 1e-12  # a grid string replaces the best only above best + TIE_MARGIN
 _GRID_ROWS = 20  # values of u per vectorized step of the grid max; bounds its temporaries
-RESTARTS = 100  # full-sphere starts in the guard
 
 _KINDS = ("su2_cosine", "so3_saw", "monte_carlo")
 
@@ -92,15 +91,13 @@ class ChshConfig:
 class BoundReport:
     """Search outcome: the found maximum against the global bound.
 
-    stage names the search stage that produced chsh_value: "grid" or
-    "guard".  angles_deg is None when the guard wins, since its
-    directions leave the xy plane.
+    stage is always "grid", the search's one stage.
     """
 
     chsh_value: float
     rhs_bound: float
     directions: tuple
-    angles_deg: Optional[tuple] = None
+    angles_deg: tuple
     stage: str = "grid"
 
 
@@ -140,7 +137,7 @@ def monte_carlo_correlator(trials):
 def _string(correlator, a, a_prime, b, b_prime) -> float:
     """E(a,b) + E(a,b') + E(a',b) - E(a',b'), the evaluator of every reported value.
 
-    The grid and the guard sum batched strings of their own.
+    The grid sums batched strings of its own.
     """
     return (
         correlator(a, b)
@@ -328,106 +325,37 @@ def _coplanar_grid_max(table: np.ndarray):
 
 
 def _cosine_law(x):
-    """The cosine law on dot products x = a.b: E = -x and dE/dx = -1."""
-    return -x, np.full_like(x, -1.0)
+    """The cosine law on dot products x = a.b: E = -x."""
+    return -x
 
 
 def _saw_law(x):
-    """The saw on dot products x = a.b: E = -1 + 2 eta / pi, eta = arccos x, and dE/dx.
-
-    dE/dx = -2 / (pi sin eta), with sin eta clamped away from 0 at the
-    kinks eta in {0, pi}.  Projected onto a tangent the gradient stays
-    bounded, since |b - (a.b) a| = sin eta.
-    """
-    x = np.clip(x, -1.0, 1.0)
-    sin_eta = np.maximum(np.sqrt((1.0 - x) * (1.0 + x)), np.finfo(float).eps)
-    return -1.0 + 2.0 * np.arccos(x) / np.pi, -2.0 / (np.pi * sin_eta)
+    """The saw on dot products x = a.b: E = -1 + 2 eta / pi, eta = arccos x."""
+    return -1.0 + 2.0 * np.arccos(np.clip(x, -1.0, 1.0)) / np.pi
 
 
-_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0]])  # string signs of E(a|a', b|b')
-
-
-def _guard_objective(law, v):
-    """|CHSH| of each quadruple v (restarts, 4, 3) of free vectors, and its gradient.
-
-    Setting k is the direction v_k / |v_k|.  The gradient flows through
-    the law's slope in each dot product, is projected onto the tangent
-    of each v_k and divided by |v_k|.
-    """
-    norm = np.linalg.norm(v, axis=-1, keepdims=True)
-    u = v / norm
-    a, b = u[:, :2], u[:, 2:]
-    value, slope = law(np.einsum("rik,rjk->rij", a, b))
-    string = (_SIGNS * value).sum(axis=(1, 2))
-    weight = np.sign(string)[:, None, None] * _SIGNS * slope
-    grad = np.concatenate(
-        [np.einsum("rij,rjk->rik", weight, b), np.einsum("rij,rik->rjk", weight, a)], axis=1
-    )
-    grad -= (grad * u).sum(axis=-1, keepdims=True) * u
-    return np.abs(string), grad / norm
-
-
-def minimize(fun, x0, **options):
-    """scipy.optimize.minimize, imported on first call: only the guard needs scipy."""
-    from scipy.optimize import minimize as scipy_minimize
-
-    return scipy_minimize(fun, x0, **options)
-
-
-def _random_restart_guard(correlator, coplanar_value, restarts, seed, budget, law):
-    """Full-sphere restarts ascended together; returns a better quadruple if found.
-
-    The restarts start from uniform polar and azimuthal angles, so the
-    grid's coplanarity assumption gets an independent chance to fail.
-    One L-BFGS-B run maximizes their mean |CHSH|, which is separable, on
-    the analytic gradient of law, charged 4 per restart per evaluation.
-    The best restart, re-evaluated by the scalar correlator, wins only
-    if it beats coplanar_value by more than 1e-6.
-    """
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    uniform = rng.random((int(restarts), 2, 4))  # theta then phi, per restart
-    theta, phi = np.pi * uniform[:, 0], 2.0 * np.pi * uniform[:, 1]
-    start = np.stack(
-        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=-1
-    )
-
-    def batch(flat):
-        budget.spend(4 * len(start))
-        return _guard_objective(law, flat.reshape(start.shape))
-
-    def negative_mean(flat):
-        values, grad = batch(flat)
-        return -values.mean(), -grad.ravel() / len(start)
-
-    result = minimize(negative_mean, start.ravel(), jac=True, method="L-BFGS-B")
-    best = result.x.reshape(start.shape)[np.argmax(batch(result.x)[0])]
-    directions = list(best / np.linalg.norm(best, axis=-1, keepdims=True))
-    budget.spend(4)
-    best_value = abs(_string(correlator, *directions))
-    if best_value > coplanar_value + 1e-6:
-        return best_value, directions
-    return None
+# bench/layers.py still wraps these two names of the deleted full-sphere
+# guard; nothing calls them, and they go with ROADMAP item 1b
+_random_restart_guard = None
+minimize = None
 
 
 def maximize_chsh(
     correlation_kind: str, optimizer_config: Optional[OptimizerConfig] = None
 ) -> BoundReport:
-    """Search for the largest |CHSH| under the named correlator.
+    """Search for the largest |CHSH| under the named correlator, on the coplanar grid.
 
-    Deterministic given the optimizer config.  The closed forms report
-    the scalar string at the grid argmax unless the restart guard beats
-    it by more than 1e-6.  The Monte Carlo kind counts every grid table
-    entry on a fixed seeded ensemble, one budget evaluation each, and
-    stops at the grid stage: 1 degree of direction resolution is already
-    far below the estimator's standard error, and the restart guard would
-    re-estimate the string thousands of times for no extra information.
-    Its value is forced by the local bound: 2.0 for every ensemble.  The
-    lowest tied grid string has a = a' = x-hat, where every per-trial
-    string is 2 sign(s.x) sign(-s.b) = +-2, and b = -x-hat makes all of
-    them +2 ((0, 0, 180, 0) at 1M trials on every seed tried), so neither
-    the value nor the argmax depends on the ensemble.  The ensemble is
-    streamed block by block on cfg.threads workers (_streamed_count_table),
-    never held whole, and the report is the same bytes for any count.
+    Deterministic given the optimizer config.  The closed forms are
+    charged 360 budget units for the law table and 4 for the scalar
+    string they report at the grid argmax; cfg.seed is not read.  The
+    Monte Carlo kind is charged one unit per table entry of an ensemble
+    seeded by cfg.seed and streamed block by block on cfg.threads workers
+    (_streamed_count_table), so the report is the same bytes for any
+    worker count.  Its value is forced by the local bound: the lowest
+    tied grid string has a = a' = x-hat, where every per-trial string is
+    2 sign(s.x) sign(-s.b) = +-2, and b = -x-hat makes all of them +2
+    ((0, 0, 180, 0) at 1M trials on every seed tried), so neither the
+    value, 2.0, nor the argmax depends on the ensemble.
     """
     if correlation_kind not in _KINDS:
         raise InvalidConfig(f"unknown correlation_kind {correlation_kind!r}")
@@ -448,7 +376,7 @@ def maximize_chsh(
         # E between x-hat and the planar direction d steps away; the laws
         # depend on the separation angle only, so the table is the
         # circulant table[u, v] = relative[(v - u) % _COUNT], here a view
-        relative = law(np.cos(np.radians(np.arange(_COUNT) * GRID_STEP_DEG)))[0]
+        relative = law(np.cos(np.radians(np.arange(_COUNT) * GRID_STEP_DEG)))
         windows = np.lib.stride_tricks.sliding_window_view(np.tile(relative, 2), _COUNT)
         table = windows[_COUNT:0:-1]
     grid_value, u, v, w = _coplanar_grid_max(table)
@@ -460,12 +388,6 @@ def maximize_chsh(
     else:
         budget.spend(4)
         value = abs(_string(correlator, *directions))
-        guard = _random_restart_guard(correlator, value, RESTARTS, cfg.seed, budget, law)
-        if guard is not None:
-            value, directions = guard
-            return BoundReport(
-                float(value), float(TSIRELSON_BOUND), tuple(directions), stage="guard"
-            )
 
     return BoundReport(
         chsh_value=float(value),

@@ -201,7 +201,7 @@ def cmd_chsh(args) -> int:
     payload = {
         "kind": args.kind,
         "max_abs_chsh": report.chsh_value,
-        "argmax_degrees": list(report.angles_deg) if report.angles_deg else None,
+        "argmax_degrees": list(report.angles_deg),
         "bound": report.rhs_bound,
     }
     _write_text(args.output, json.dumps(payload, indent=2) + "\n")
@@ -231,7 +231,15 @@ def _common_flags(parser, suppress: bool) -> None:
     d = argparse.SUPPRESS if suppress else None
     parser.add_argument("--output", default=d, help="output file (default: stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default=d)
-    parser.add_argument("--seed", type=int, default=d)
+    parser.add_argument(
+        "--seed",
+        type=int,
+        default=d,
+        help="simulate: overrides the config's seed; torsion-check: seeds the "
+        "generated points (default 20); chsh --kind monte_carlo: seeds the "
+        "ensemble (default 2026); distances, oracle and the closed-form chsh "
+        "kinds ignore it",
+    )
     parser.add_argument(
         "--threads",
         type=_positive_int,

@@ -488,23 +488,20 @@ def quaternion_std_dev(psi: float, a, trials: TrialEnsemble):
     ensemble, m being the mean of q_k(psi), then takes the principal
     square root.  The result is the spread factor +-spread_rotor(psi, a);
     the principal branch is returned and the overall sign is convention.
+    With q_k(psi) = lam_k u, q_k(2 pi - psi) = lam_k v and m = L u, L the
+    mean of lam, the average is mean((lam_k - L) lam_k) u rev(v)
+    - mean(lam_k - L) L u rev(u) = (1 - L^2) u rev(v), since lam_k^2 = 1:
+    one integer sum over the trials and no per-trial array.
     """
     psi = float(psi)
     if not 0.0 <= psi <= 4.0 * np.pi:
         raise DomainError("psi must lie in [0, 4 pi]")
     _require_trials(len(trials), 1)
     a = np.asarray(a, float)
-    lam = trials.lam.astype(float)
-
+    L = int(trials.lam.sum(dtype=np.int64)) / len(trials)
     u = spin_rotor(psi, a, 1)
     v = spin_rotor(2.0 * np.pi - psi, a, 1)
-    q_psi = lam[:, None] * u[None, :]
-    q_conj = lam[:, None] * v[None, :]
-    m = q_psi.mean(axis=0)
-    centered = q_psi - m
-    centered_conj = algebra.reverse(q_conj - m)
-    products = np.einsum("ni,nj,ijk->nk", centered, centered_conj, algebra.CAYLEY)
-    M = products.mean(axis=0)
+    M = (1.0 - L * L) * algebra.geometric_product(u, algebra.reverse(v))
     return algebra.rotor_sqrt(M, default_axis=algebra.bivector_embed(-a))
 
 

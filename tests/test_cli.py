@@ -265,6 +265,13 @@ def test_chsh_closed_form_bytes(tmp_path, seed, kind, value, degrees):
     assert out.read_text() == json.dumps(payload, indent=2) + "\n"
 
 
+def test_seed_help_says_which_commands_read_it(capsys):
+    assert run(["chsh", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "chsh --kind monte_carlo: seeds the ensemble (default 2026)" in text
+    assert "distances, oracle and the closed-form chsh kinds ignore it" in text
+
+
 def test_chsh_monte_carlo_bytes(tmp_path):
     out = tmp_path / "c.json"
     assert run(["chsh", "--kind", "monte_carlo", "--seed", "7", "--output", str(out)]) == 0

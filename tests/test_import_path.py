@@ -1,4 +1,4 @@
-"""scipy stays off the import path: only the closed-form CHSH guard loads it."""
+"""scipy stays off the import path: no command loads it."""
 
 import json
 import subprocess
@@ -36,6 +36,9 @@ def loaded_after(tmp_path, argv):
         ["distances", "--output", "d.csv"],
         ["torsion-check", "--n-points", "5", "--output", "t.json"],
         ["simulate", "run.json", "--output", "c.csv"],
+        ["chsh", "--kind", "su2_cosine", "--output", "b.json"],
+        ["chsh", "--kind", "so3_saw", "--output", "b.json"],
+        ["chsh", "--kind", "monte_carlo", "--output", "b.json"],
     ],
 )
 def test_commands_never_import_scipy(tmp_path, argv):
@@ -43,6 +46,7 @@ def test_commands_never_import_scipy(tmp_path, argv):
     assert loaded_after(tmp_path, argv) == ["False", "0", "False", "False"]
 
 
-def test_closed_form_chsh_imports_scipy_optimize_on_first_use(tmp_path):
-    argv = ["chsh", "--kind", "su2_cosine", "--output", "b.json"]
-    assert loaded_after(tmp_path, argv) == ["False", "0", "True", "True"]
+
+def test_no_source_file_mentions_scipy():
+    package = Path(spinsphere.__file__).resolve().parent
+    assert [p.name for p in package.glob("*.py") if "scipy" in p.read_text()] == []

@@ -300,6 +300,47 @@ def test_quaternion_std_dev_matches_spread_grid():
         assert min(np.abs(got - p).max(), np.abs(got + p).max()) < 1e-12
 
 
+def per_trial_quaternion_std_dev(psi, a, trials):
+    """The dispersion averaged over (n, 8) per-trial rotors, kept as the reference."""
+    lam = trials.lam.astype(float)
+    q_psi = lam[:, None] * spin.spin_rotor(psi, a, 1)[None, :]
+    q_conj = lam[:, None] * spin.spin_rotor(2.0 * np.pi - psi, a, 1)[None, :]
+    m = q_psi.mean(axis=0)
+    products = np.einsum(
+        "ni,nj,ijk->nk", q_psi - m, algebra.reverse(q_conj - m), algebra.CAYLEY
+    )
+    return algebra.rotor_sqrt(products.mean(axis=0), default_axis=algebra.bivector_embed(-a))
+
+
+@pytest.mark.parametrize("mode", ["balanced_exact", "fair_coin"])
+def test_quaternion_std_dev_matches_the_per_trial_average(mode):
+    a = np.array([0.3, -0.4, np.sqrt(0.75)])
+    for seed in (1, 2, 3):
+        trials = spin.simulate_ensemble(make_config(n_trials=20_000, seed=seed, lambda_mode=mode))
+        for psi in (0.0, 0.7, np.pi, 5.0, 4 * np.pi):
+            got = spin.quaternion_std_dev(psi, a, trials)
+            assert np.abs(got - per_trial_quaternion_std_dev(psi, a, trials)).max() < 1e-12
+
+
+def test_quaternion_std_dev_memory_does_not_grow_with_the_trials():
+    import tracemalloc
+
+    def peak(n_trials):
+        trials = spin.simulate_ensemble(make_config(n_trials=n_trials, lambda_mode="fair_coin"))
+        tracemalloc.start()
+        try:
+            spin.quaternion_std_dev(0.7, E3, trials)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # past numpy's 8192-element casting buffer of the integer sum, the peak
+    # is flat; an (n, 8) float64 array alone would be 12.8 MB at 200,000 trials
+    small, large = peak(20_000), peak(200_000)
+    assert large <= small + 4 * 2**10
+    assert large <= 256 * 2**10
+
+
 def test_quaternion_std_dev_domain():
     trials = spin.simulate_ensemble(make_config(n_trials=4))
     with pytest.raises(DomainError):
