@@ -213,7 +213,7 @@ def rotor_exp(b, half_angle: float):
     psi = 2 * half_angle about the axis of b, with 4 pi periodicity.
     """
     b = np.asarray(b, float)
-    if norm(grade(b, 2) - b) > UNIT_TOL or abs(norm(b) - 1.0) > UNIT_TOL:
+    if not (norm(grade(b, 2) - b) <= UNIT_TOL and abs(norm(b) - 1.0) <= UNIT_TOL):
         raise NonUnitBivector("rotor_exp needs a unit bivector")
     return np.cos(half_angle) * _IDENTITY + np.sin(half_angle) * b
 

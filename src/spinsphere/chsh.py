@@ -3,9 +3,11 @@
 The string E(a,b) + E(a,b') + E(a',b) - E(a',b') is evaluated for three
 correlators: the smooth cosine law, the quotient saw, and
 spin.raw_correlation on a fixed ensemble redraw-checked against x-hat,
-the setting a of every grid string.  The maximizer has one stage: a
-coplanar 1-degree grid over a table of E between every two grid
-directions.  For the closed forms the grid attains the proven maxima
+the setting a of every grid string; the closed forms take stacked
+directions, so _string evaluates one quadruple or many.  The maximizer
+has one stage: a coplanar 1-degree grid over a table of E between every
+two of the 360 directions _GRID, one correlator call for the closed
+forms.  For the closed forms the grid attains the proven maxima
 over all unit vectors, so no full-sphere search can beat it: |S| <=
 2 sqrt(2) for the cosine law (Cirel'son, Lett. Math. Phys. 4, 93
 (1980)), reached at (0, 90, 225, 135) degrees, and |S| <= 2 for the
@@ -34,7 +36,7 @@ import numpy as np
 
 from . import algebra, spin
 from .errors import InvalidConfig, OptimizerBudgetExceeded
-from .geometry import separation_angle, so3_distance
+from .geometry import dot, separation_angle, so3_distance
 from .spin import ExperimentConfig, raw_correlation
 from .spin import simulate_ensemble  # unused here; bench/layers.py wraps this binding
 
@@ -59,13 +61,17 @@ _COUNT = int(round(360.0 / GRID_STEP_DEG))  # grid directions
 EDGE_TOL_DEG = 1e-9  # azimuths this close to a grid direction take the dot-product path
 TIE_MARGIN = 1e-12  # a grid string replaces the best only above best + TIE_MARGIN
 _GRID_ROWS = 20  # values of u per vectorized step of the grid max; bounds its temporaries
+# grid direction k: x-hat turned k grid steps about z-hat
+_AZIMUTHS = np.radians(np.arange(_COUNT) * GRID_STEP_DEG)
+_GRID = np.stack([np.cos(_AZIMUTHS), np.sin(_AZIMUTHS), np.zeros(_COUNT)], axis=1)
+_GRID.setflags(write=False)
 
 _KINDS = ("su2_cosine", "so3_saw", "monte_carlo")
 
 
 def _check_unit(v, name: str) -> np.ndarray:
     v = np.asarray(v, float)
-    if v.shape != (3,) or abs(np.linalg.norm(v) - 1.0) > 1e-12:
+    if v.shape != (3,) or not abs(np.linalg.norm(v) - 1.0) <= 1e-12:
         raise InvalidConfig(f"{name} must be a unit 3-vector (within 1e-12)")
     return v
 
@@ -79,10 +85,8 @@ class ChshConfig:
     correlation_kind: str = "su2_cosine"
 
     def __post_init__(self):
-        self.a = _check_unit(self.a, "a")
-        self.a_prime = _check_unit(self.a_prime, "a_prime")
-        self.b = _check_unit(self.b, "b")
-        self.b_prime = _check_unit(self.b_prime, "b_prime")
+        for name in ("a", "a_prime", "b", "b_prime"):
+            setattr(self, name, _check_unit(getattr(self, name), name))
         if self.correlation_kind not in _KINDS:
             raise InvalidConfig(f"unknown correlation_kind {self.correlation_kind!r}")
 
@@ -115,13 +119,13 @@ class VarianceBound(NamedTuple):
     finite_n: float
 
 
-def su2_cosine_correlator(a, b) -> float:
-    """Smooth geodesic law: E = -a.b."""
-    return -float(np.dot(a, b))
+def su2_cosine_correlator(a, b):
+    """Smooth geodesic law: E = -a.b, over the last axis of stacked directions."""
+    return -dot(a, b)
 
 
-def so3_saw_correlator(a, b) -> float:
-    """Quotient geodesic law applied to the separation angle."""
+def so3_saw_correlator(a, b):
+    """Quotient geodesic law applied to the separation angle, over the last axis."""
     return so3_distance(separation_angle(a, b))
 
 
@@ -134,10 +138,10 @@ def monte_carlo_correlator(trials):
     return lambda a, b: raw_correlation(trials, a, b)[0]
 
 
-def _string(correlator, a, a_prime, b, b_prime) -> float:
-    """E(a,b) + E(a,b') + E(a',b) - E(a',b'), the evaluator of every reported value.
+def _string(correlator, a, a_prime, b, b_prime):
+    """E(a,b) + E(a,b') + E(a',b) - E(a',b') of one quadruple or stacked ones.
 
-    The grid sums batched strings of its own.
+    The evaluator of every reported value; the grid max sums table rows.
     """
     return (
         correlator(a, b)
@@ -198,7 +202,7 @@ def variance_rhs(a, a_prime, b, b_prime, trials=None) -> VarianceBound:
 
 class _Budget:
     """Budget units: one per correlator value, whether it comes from a
-    scalar call, an entry of a batched law or an entry of a count table."""
+    single pair, an entry of a batched call or an entry of a count table."""
 
     def __init__(self, limit: int):
         self.limit = int(limit)
@@ -208,10 +212,6 @@ class _Budget:
         self.spent += k
         if self.spent > self.limit:
             raise OptimizerBudgetExceeded(f"exceeded {self.limit} budget units")
-
-
-def _planar_direction(angle_rad: float) -> np.ndarray:
-    return np.array([np.cos(angle_rad), np.sin(angle_rad), 0.0])
 
 
 def _azimuth_bins(s: np.ndarray):
@@ -235,8 +235,7 @@ def _azimuth_bins(s: np.ndarray):
     bins = np.roll(counts[:_COUNT], _COUNT // 2)
     if not edge.any():
         return bins, 0
-    directions = [_planar_direction(np.radians(k * GRID_STEP_DEG)) for k in range(_COUNT)]
-    signs = np.stack([np.sign(s[edge] @ d) for d in directions], axis=1).astype(np.int64)
+    signs = np.stack([np.sign(s[edge] @ d) for d in _GRID], axis=1).astype(np.int64)
     return bins, signs.T @ signs
 
 
@@ -324,16 +323,6 @@ def _coplanar_grid_max(table: np.ndarray):
     return best
 
 
-def _cosine_law(x):
-    """The cosine law on dot products x = a.b: E = -x."""
-    return -x
-
-
-def _saw_law(x):
-    """The saw on dot products x = a.b: E = -1 + 2 eta / pi, eta = arccos x."""
-    return -1.0 + 2.0 * np.arccos(np.clip(x, -1.0, 1.0)) / np.pi
-
-
 # bench/layers.py still wraps these two names of the deleted full-sphere
 # guard; nothing calls them, and they go with ROADMAP item 1b
 _random_restart_guard = None
@@ -346,8 +335,8 @@ def maximize_chsh(
     """Search for the largest |CHSH| under the named correlator, on the coplanar grid.
 
     Deterministic given the optimizer config.  The closed forms are
-    charged 360 budget units for the law table and 4 for the scalar
-    string they report at the grid argmax; cfg.seed is not read.  The
+    charged 360 budget units for the table row and 4 for the string
+    they report at the grid argmax; cfg.seed is not read.  The
     Monte Carlo kind is charged one unit per table entry of an ensemble
     seeded by cfg.seed and streamed block by block on cfg.threads workers
     (_streamed_count_table), so the report is the same bytes for any
@@ -364,24 +353,21 @@ def maximize_chsh(
 
     if correlation_kind == "monte_carlo":
         budget.spend(_COUNT * _COUNT)
-        x_hat = _planar_direction(0.0)  # a of every grid string; redraw-check it
+        x_hat = _GRID[0]  # a of every grid string; redraw-check it
         draw = ExperimentConfig(cfg.mc_trials, cfg.seed, direction_pairs=[(x_hat, x_hat)])
         table = _streamed_count_table(draw.validate(), cfg.threads)
     else:
-        correlator, law = {
-            "su2_cosine": (su2_cosine_correlator, _cosine_law),
-            "so3_saw": (so3_saw_correlator, _saw_law),
-        }[correlation_kind]
+        kinds = {"su2_cosine": su2_cosine_correlator, "so3_saw": so3_saw_correlator}
+        correlator = kinds[correlation_kind]
         budget.spend(_COUNT)
-        # E between x-hat and the planar direction d steps away; the laws
-        # depend on the separation angle only, so the table is the
-        # circulant table[u, v] = relative[(v - u) % _COUNT], here a view
-        relative = law(np.cos(np.radians(np.arange(_COUNT) * GRID_STEP_DEG)))
+        # E between x-hat and each grid direction; the laws depend on the
+        # separation angle only, so the table is the circulant
+        # table[u, v] = relative[(v - u) % _COUNT], here a view
+        relative = correlator(_GRID[0], _GRID)
         windows = np.lib.stride_tricks.sliding_window_view(np.tile(relative, 2), _COUNT)
         table = windows[_COUNT:0:-1]
     grid_value, u, v, w = _coplanar_grid_max(table)
-    angles = np.radians(np.array([0.0, u, v, w]) * GRID_STEP_DEG)
-    directions = tuple(_planar_direction(t) for t in angles)
+    directions = tuple(_GRID[[0, u, v, w]])
 
     if correlation_kind == "monte_carlo":
         value = grid_value / int(draw.n_trials)  # |sum of per-trial strings| <= 2 n
@@ -393,5 +379,5 @@ def maximize_chsh(
         chsh_value=float(value),
         rhs_bound=float(TSIRELSON_BOUND),
         directions=directions,
-        angles_deg=tuple(float(np.degrees(t)) for t in angles),
+        angles_deg=tuple(np.degrees(_AZIMUTHS[[0, u, v, w]]).tolist()),
     )

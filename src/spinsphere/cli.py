@@ -74,18 +74,16 @@ def _tabular(rows, columns, fmt: str) -> str:
 
 
 def cmd_distances(args) -> int:
-    rows = []
-    for deg in spin.grid_degrees(args.start, args.stop, args.step):
-        eta = np.radians(deg)
-        rows.append((deg, su2_distance(eta), so3_distance(eta)))
+    degrees = spin.grid_degrees(args.start, args.stop, args.step)
+    eta = np.radians(degrees)
+    rows = zip(degrees.tolist(), su2_distance(eta).tolist(), so3_distance(eta).tolist())
     _write_text(args.output, _tabular(rows, ("eta", "su2", "so3"), args.format))
     return EXIT_OK
 
 
 def cmd_oracle(args) -> int:
-    rows = []
-    for deg in spin.grid_degrees(args.start, args.stop, args.step):
-        rows.append((deg, oracle.sign_model_correlation(np.radians(deg))))
+    degrees = spin.grid_degrees(args.start, args.stop, args.step)
+    rows = zip(degrees.tolist(), oracle.sign_model_curve(np.radians(degrees)).tolist())
     _write_text(args.output, _tabular(rows, ("theta_deg", "oracle"), args.format))
     return EXIT_OK
 

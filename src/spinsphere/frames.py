@@ -91,7 +91,7 @@ def _even_coeffs(q) -> np.ndarray:
             raise NonUnitRotor("rotor is not unit / not even")
         return algebra.even_part(q)
     if q.shape == (4,):
-        if abs(np.linalg.norm(q) - 1.0) > algebra.UNIT_TOL:
+        if not abs(np.linalg.norm(q) - 1.0) <= algebra.UNIT_TOL:
             raise NonUnitRotor("rotor coefficients are not unit norm")
         return q
     raise NonUnitRotor(f"expected 4 or 8 components, got shape {q.shape}")
@@ -155,16 +155,18 @@ def _riemann(gamma: np.ndarray, d_gamma: np.ndarray) -> np.ndarray:
     )
 
 
+def _clearance(x: np.ndarray) -> float:
+    """Distance of chi and theta from the nearest multiple of pi, where their sines vanish."""
+    return float(np.abs(x[:2] - np.pi * np.rint(x[:2] / np.pi)).min())
+
+
 def _check_point_step(chart_point, h: float) -> np.ndarray:
     x = np.asarray(chart_point, float)
     if x.shape != (3,):
         raise ChartDegeneracy("chart point must be (chi, theta, phi)")
     if not np.isfinite(x).all():
         raise ChartDegeneracy(f"point {tuple(x.tolist())} has a non-finite coordinate")
-    chi, theta = x[0], x[1]
-    chi_clear = min(abs(chi), abs(chi - np.pi), abs(chi - 2 * np.pi))
-    theta_clear = min(abs(theta), abs(theta - np.pi))
-    if chi_clear < COLLAR or theta_clear < COLLAR:
+    if _clearance(x) < COLLAR:
         raise ChartDegeneracy(
             f"point {tuple(x.tolist())} is inside the {COLLAR}-rad degeneracy collar"
         )
@@ -176,8 +178,11 @@ def _check_point_step(chart_point, h: float) -> np.ndarray:
 def check_curvature_point(chart_point, h: float) -> np.ndarray:
     """Curvature's point check: its stencil reaches 2h, so it needs COLLAR + 2h."""
     x = _check_point_step(chart_point, h)
-    for y in (x + h * _OFFSETS).reshape(-1, 3):
-        _check_point_step(y, h)
+    if _clearance(x) < COLLAR + 2 * h:
+        raise ChartDegeneracy(
+            f"point {tuple(x.tolist())} is within the curvature stencil's reach "
+            f"2h = {2 * h} of the {COLLAR}-rad degeneracy collar"
+        )
     return x
 
 
@@ -268,9 +273,7 @@ def torsion_bivector_so3(a, b) -> np.ndarray:
     Same axis as the spherical version but scaled by the saw-tooth
     stand-in for sin(eta); zero for parallel axes and at eta = pi.
     """
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    cross = np.cross(a, b)
+    cross = np.cross(np.asarray(a, float), np.asarray(b, float))
     n = float(np.linalg.norm(cross))
     if n < 1e-12:
         return np.zeros(8)

@@ -5,7 +5,9 @@ its relabeling as an even rotor, and the two distance functions of the
 half-rotation angle eta: the smooth cosine law on SU(2) = S3 and the
 piecewise-linear saw obtained after identifying antipodal rotors
 (SO(3) = RP3).  The two laws agree only at eta in {0, pi/2, pi, 3pi/2,
-2pi} and differ by about 0.207 near eta = pi/4.
+2pi} and differ by about 0.207 near eta = pi/4.  Every caller evaluates
+the laws here, on whole arrays: they, dot and separation_angle work
+elementwise (vectors along the last axis), a Python float for one value.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ __all__ = [
     "round_to_flat",
     "flat_to_round",
     "rotor_angle",
+    "dot",
     "separation_angle",
     "su2_distance",
     "so3_distance",
@@ -85,38 +88,46 @@ def rotor_angle(qa, qb) -> float:
     return float(np.arccos(np.clip(dot, 0.0, 1.0)))
 
 
-def separation_angle(a, b) -> float:
+def _float_or_array(x):
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def dot(a, b):
+    """a.b over the last axis, each pair rounded as np.dot rounds it (DECISIONS.md)."""
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    return _float_or_array((a[..., None, :] @ b[..., :, None])[..., 0, 0])
+
+
+def separation_angle(a, b):
     """Angle in [0, pi] between unit vectors a and b; a rounded |a.b| > 1 clips."""
-    return float(np.arccos(np.clip(np.dot(a, b), -1.0, 1.0)))
+    return _float_or_array(np.arccos(np.clip(dot(a, b), -1.0, 1.0)))
 
 
-def _check_eta(eta: float, hi: float) -> float:
-    eta = float(eta)
-    if not 0.0 <= eta <= hi:
-        raise DomainError(f"angle {eta} outside [0, {hi}]")
+def _check_eta(eta, hi: float) -> np.ndarray:
+    eta = np.asarray(eta, float)
+    inside = (0.0 <= eta) & (eta <= hi)
+    if not inside.all():
+        raise DomainError(f"angle {float(eta[~inside][0])} outside [0, {hi}]")
     return eta
 
 
-def su2_distance(eta: float) -> float:
+def su2_distance(eta):
     """Geodesic correlation law on S3: -cos(eta), eta in [0, 2pi]."""
-    return -float(np.cos(_check_eta(eta, 2.0 * np.pi)))
+    return _float_or_array(-np.cos(_check_eta(eta, 2.0 * np.pi)))
 
 
-def so3_distance(eta: float) -> float:
+def so3_distance(eta):
     """Piecewise-linear saw on the rotation group: -1 + 2 eta/pi, then 3 - 2 eta/pi.
 
     Domain eta in [0, 2pi]; equals su2_distance exactly at eta in
     {0, pi/2, pi, 3pi/2, 2pi} and nowhere else.
     """
     eta = _check_eta(eta, 2.0 * np.pi)
-    if eta <= np.pi:
-        return -1.0 + 2.0 * eta / np.pi
-    return 3.0 - 2.0 * eta / np.pi
+    slope = 2.0 * eta / np.pi
+    return _float_or_array(np.where(eta <= np.pi, slope - 1.0, 3.0 - slope))
 
 
-def quotient_project(eta: float) -> float:
-    """Distance after antipodal identification; identical to so3_distance."""
-    return so3_distance(eta)
+quotient_project = so3_distance  # the distance after antipodal identification
 
 
 def so3_exp_parameter(psi: float) -> float:
@@ -183,12 +194,10 @@ class SO3Metric:
         c the unit normal of (a, b).  The scalar (symmetric) part is the
         induced inner product; the bivector part carries the torsion.
         """
-        a = np.asarray(a, float)
-        b = np.asarray(b, float)
         eta = separation_angle(a, b)
         out = np.zeros(8)
         out[0] = so3_distance(eta)
-        cross = np.cross(a, b)
+        cross = np.cross(np.asarray(a, float), np.asarray(b, float))
         n = np.linalg.norm(cross)
         if n > 1e-12:
             out[4:7] = -so3_sin_alpha(eta) * cross / n

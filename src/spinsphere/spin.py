@@ -100,7 +100,8 @@ def grid_degrees(start_deg: float, stop_deg: float, step_deg: float) -> np.ndarr
     """Angles start, start + step, ... up to stop inclusive, in degrees.
 
     The row count is checked against MAX_GRID_ROWS before anything is
-    allocated; NaN and infinite bounds fail the same checks.
+    allocated; NaN and infinite bounds fail the same checks.  The grid
+    always holds start, also when step is too small to move stop.
     """
     if not step_deg > 0:
         raise InvalidConfig("grid step must be positive")
@@ -110,17 +111,16 @@ def grid_degrees(start_deg: float, stop_deg: float, step_deg: float) -> np.ndarr
     # arange makes ceil((stop - start) / step) rows
     if not (stop - start_deg) / step_deg <= MAX_GRID_ROWS:
         raise InvalidConfig(f"grid has more than {MAX_GRID_ROWS} rows")
-    return np.arange(start_deg, stop, step_deg)
+    grid = np.arange(start_deg, stop, step_deg)
+    return grid if len(grid) else np.array([float(start_deg)])
 
 
 def grid_pairs(start_deg: float, stop_deg: float, step_deg: float):
     """Detector pairs for an angle grid: a = z-hat, b swept in the xz-plane."""
     a = np.array([0.0, 0.0, 1.0])
-    pairs = []
-    for deg in grid_degrees(start_deg, stop_deg, step_deg):
-        eta = np.radians(deg)
-        pairs.append((a, np.array([np.sin(eta), 0.0, np.cos(eta)])))
-    return pairs
+    eta = np.radians(grid_degrees(start_deg, stop_deg, step_deg))
+    b = np.stack([np.sin(eta), np.zeros_like(eta), np.cos(eta)], axis=1)
+    return [(a, row) for row in b]
 
 
 @dataclass
@@ -161,7 +161,8 @@ class ExperimentConfig:
         grid = self._grid()
         if grid is not None:
             return grid_degrees(*grid).tolist()
-        return [float(np.degrees(separation_angle(a, b))) for a, b in self.resolved_pairs()]
+        pairs = np.array(self.resolved_pairs())
+        return np.degrees(separation_angle(pairs[:, 0], pairs[:, 1])).tolist()
 
     def resolved_pairs(self):
         grid = self._grid()
@@ -175,7 +176,8 @@ class ExperimentConfig:
         for a, b in pairs:
             if a.shape != (3,) or b.shape != (3,):
                 raise InvalidConfig("direction pairs must be 3-vectors")
-            if abs(np.linalg.norm(a) - 1.0) > 1e-9 or abs(np.linalg.norm(b) - 1.0) > 1e-9:
+            # written so that a NaN component fails it too
+            if not (abs(np.linalg.norm(a) - 1.0) <= 1e-9 and abs(np.linalg.norm(b) - 1.0) <= 1e-9):
                 raise InvalidConfig("direction pairs must be unit vectors")
         if not pairs:
             raise InvalidConfig("no direction pairs given")
@@ -600,11 +602,13 @@ def _curve_rows(pairs, counts: np.ndarray, n: int):
     """
     *differ, lam_sum, lam_product_sum = counts.tolist()
     scalar_form = lam_product_sum / n
+    stacked = np.array(pairs)
+    eta = separation_angle(stacked[:, 0], stacked[:, 1])
+    references = zip(su2_distance(eta).tolist(), so3_distance(eta).tolist())
     rows = []
-    for (a, b), d in zip(pairs, differ):
+    for (a, b), d, (su2, so3) in zip(pairs, differ, references):
         raw_mc, raw_stderr = _sign_moments(2 * d - n, n, n)
         scalar, residual = _score_moments(a, b, lam_sum, n)
-        eta = separation_angle(a, b)
         rows.append(
             CorrelationResult(
                 a=np.asarray(a, float),
@@ -614,8 +618,8 @@ def _curve_rows(pairs, counts: np.ndarray, n: int):
                 standard_score_scalar=scalar,
                 standard_score_residual_bivector_norm=residual,
                 scalar_product_form=scalar_form,
-                su2_reference=su2_distance(eta),
-                so3_reference=so3_distance(eta),
+                su2_reference=su2,
+                so3_reference=so3,
             )
         )
     return rows

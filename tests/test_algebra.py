@@ -166,6 +166,14 @@ def test_rotor_exp_rejects_non_unit_bivector():
         algebra.rotor_exp(2.0 * algebra.bivector_embed([0, 0, 1]), 0.3)
 
 
+@pytest.mark.parametrize("slot", [0, 4])
+def test_rotor_exp_rejects_nan(slot):
+    b = algebra.bivector_embed([0, 0, 1])
+    b[slot] = np.nan
+    with pytest.raises(NonUnitBivector):
+        algebra.rotor_exp(b, 0.3)
+
+
 def test_sqrt_squares_back():
     for _ in range(20):
         axis = _unit(RNG.standard_normal(3))

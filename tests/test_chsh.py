@@ -35,6 +35,14 @@ def test_config_rejects_non_unit_and_bad_kind():
         chsh.ChshConfig(a=E1, a_prime=E2, b=E1, b_prime=E2, correlation_kind="exact")
 
 
+@pytest.mark.parametrize("field", ["a", "a_prime", "b", "b_prime"])
+def test_config_rejects_nan_directions(field):
+    vectors = dict(a=E1, a_prime=E2, b=E1, b_prime=E2)
+    vectors[field] = np.array([np.nan, 0.0, 0.0])
+    with pytest.raises(InvalidConfig):
+        chsh.ChshConfig(**vectors)
+
+
 def test_string_sign_placement():
     # the 0/90/45/135 quadruple: the minus sits on the (a', b') term, so
     # the cosine terms cancel (-s2/2 + s2/2 - s2/2 + s2/2) and the saw
@@ -363,8 +371,8 @@ def test_monte_carlo_count_table_rounds_grid_azimuths_like_the_estimator():
 
 
 CLOSED_FORMS = [
-    ("su2_cosine", chsh.su2_cosine_correlator, chsh._cosine_law, chsh.TSIRELSON_BOUND),
-    ("so3_saw", chsh.so3_saw_correlator, chsh._saw_law, 2.0),
+    ("su2_cosine", chsh.su2_cosine_correlator, chsh.TSIRELSON_BOUND),
+    ("so3_saw", chsh.so3_saw_correlator, 2.0),
 ]
 
 
@@ -375,8 +383,8 @@ def test_search_reports_the_stage_of_its_maximum():
     assert report.stage == "grid"
 
 
-@pytest.mark.parametrize("kind, correlator, law, top", CLOSED_FORMS)
-def test_law_table_matches_the_scalar_correlator(monkeypatch, kind, correlator, law, top):
+@pytest.mark.parametrize("kind, correlator, top", CLOSED_FORMS)
+def test_law_table_matches_the_scalar_correlator(monkeypatch, kind, correlator, top):
     tables = []
     grid_max = chsh._coplanar_grid_max
 
@@ -392,24 +400,23 @@ def test_law_table_matches_the_scalar_correlator(monkeypatch, kind, correlator, 
         assert np.array_equal(table[u], np.roll(table[0], u))
 
 
-@pytest.mark.parametrize("kind, correlator, law, top", CLOSED_FORMS)
-def test_batched_laws_never_exceed_their_proven_bounds(kind, correlator, law, top):
+@pytest.mark.parametrize("kind, correlator, top", CLOSED_FORMS)
+def test_batched_laws_never_exceed_their_proven_bounds(kind, correlator, top):
     # |S| <= 2 sqrt(2) for the cosine law (Cirel'son 1980) and <= 2 for the
     # saw, a local +-1 model's correlation (CHSH 1969), over all unit vectors;
     # 10^5 full-sphere quadruples test them where the coplanar grid never looks
     rng = np.random.Generator(np.random.Philox(key=17))
     v = rng.standard_normal((100_000, 4, 3))
     u = v / np.linalg.norm(v, axis=-1, keepdims=True)
-    E = law(np.einsum("rik,rjk->rij", u[:, :2], u[:, 2:]))
-    strings = np.abs(E[:, 0, 0] + E[:, 0, 1] + E[:, 1, 0] - E[:, 1, 1])
+    strings = np.abs(chsh._string(correlator, *np.moveaxis(u, 1, 0)))
     assert strings.max() <= top
     assert strings.max() > top - 0.05  # the sample comes close to the bound
     for r in np.argsort(strings)[-5:]:
         assert abs(abs(chsh._string(correlator, *u[r])) - strings[r]) < 1e-12
 
 
-@pytest.mark.parametrize("kind, correlator, law, top", CLOSED_FORMS)
-def test_closed_form_search_attains_the_proven_maximum_exactly(kind, correlator, law, top):
+@pytest.mark.parametrize("kind, correlator, top", CLOSED_FORMS)
+def test_closed_form_search_attains_the_proven_maximum_exactly(kind, correlator, top):
     assert chsh.maximize_chsh(kind).chsh_value == top
 
 

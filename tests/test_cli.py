@@ -140,6 +140,30 @@ def test_simulate_readme_config_bytes_for_any_threads(tmp_path, threads):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == README_SIMULATE_SHA256
 
 
+# sha256 of each command's output at its default grid, size and seed
+OUTPUT_SHA256 = [
+    (["distances"], "ad09897548babcbbab9321634b163383633120213fc007513a1239574113d3e9"),
+    (["distances", "--format", "json"],
+     "0eaa363f5944554b6fbeb87cce0f529907ac9a980765988a1f9b2bfc03395e7f"),
+    (["oracle"], "4df5248f3bb8c60e004bb2bb5d14079fed8f73390dc31472d09610113dd2320f"),
+    (["oracle", "--format", "json"],
+     "38ae416833f23c6a0d932371c5a9fbf277618eb1747aa8947c0e40f7bb08ad14"),
+    (["chsh", "--kind", "su2_cosine"],
+     "b731e0240b2c4478475139c9bd6fa151d4544309affc2a2f945fd319bc218134"),
+    (["chsh", "--kind", "so3_saw"],
+     "cf32f3f140dd876c2ee63d3ed37049fc6d1ef7317216712196ed31debaff3747"),
+    (["torsion-check", "--n-points", "100"],
+     "5a2cb8aff4ce0d0aff47b1a921af424b25235fcb4679c4577c5069f8ceb94f26"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", OUTPUT_SHA256)
+def test_command_output_bytes(tmp_path, argv, digest):
+    out = tmp_path / "out"
+    assert run(argv + ["--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_simulate_worker_memory_error_exits_one(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(spin, "_usable_cpus", lambda: 2)
     original = spin._block_counts
@@ -433,6 +457,9 @@ def test_torsion_check_non_finite_point_exits_three(tmp_path, capsys, coordinate
     [
         ("[[0.05, 1.2, 0.8]]", "point (0.05, 1.2, 0.8) is inside the 0.1-rad degeneracy collar"),
         ("[[NaN, 1.2, 0.8]]", "point (nan, 1.2, 0.8) has a non-finite coordinate"),
+        # the given point, not one of its stencil points, and the stencil's reach
+        ("[[0.10015, 1.2, 0.8]]", "point (0.10015, 1.2, 0.8) is within the curvature "
+         "stencil's reach 2h = 0.0002 of the 0.1-rad degeneracy collar"),
     ],
 )
 def test_torsion_check_point_messages_print_plain_numbers(tmp_path, capsys, point, message):
@@ -440,3 +467,41 @@ def test_torsion_check_point_messages_print_plain_numbers(tmp_path, capsys, poin
     points.write_text(point)
     assert run(["torsion-check", str(points), "--output", str(tmp_path / "t.json")]) == 3
     assert capsys.readouterr().err == f"spinsphere: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "point",
+    # chi and theta's sines vanish at every multiple of pi; next to these points
+    # the curvature stencil reads about 421 for a connection that is flat
+    [[1.2, 2 * np.pi + 0.001, 0.5], [1.2, -np.pi + 0.001, 0.5], [3 * np.pi + 0.001, 1.2, 0.5]],
+)
+def test_torsion_check_collar_surrounds_every_multiple_of_pi(tmp_path, capsys, point):
+    points = tmp_path / "pts.json"
+    points.write_text(json.dumps([point]))
+    out = tmp_path / "t.json"
+    assert run(["torsion-check", str(points), "--output", str(out)]) == 3
+    assert "inside the 0.1-rad degeneracy collar" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_nan_direction_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"n_trials": 100, "seed": 1, "direction_pairs": [[[NaN, 0, 0], [0, 0, 1]]]}')
+    assert run(["simulate", str(cfg), "--output", str(tmp_path / "c.csv")]) == 1
+    assert capsys.readouterr().err == "spinsphere: direction pairs must be unit vectors\n"
+
+
+def test_grids_too_fine_to_reach_stop_still_hold_their_start(tmp_path):
+    out = tmp_path / "d.csv"
+    argv = ["distances", "--start", "1", "--stop", "1", "--step", "1e-20", "--output", str(out)]
+    assert run(argv) == 0
+    eta = np.radians(1.0)
+    assert out.read_text() == (
+        f"eta,su2,so3\n1,{-np.cos(eta):.17g},{-1.0 + 2.0 * eta / np.pi:.17g}\n"
+    )
+    spec = {"start_deg": 10.0, "stop_deg": 10.0, "step_deg": 5e-324}
+    cfg = write_config(tmp_path / "run.json", direction_pairs=spec)
+    curve = tmp_path / "c.csv"
+    assert run(["simulate", str(cfg), "--output", str(curve)]) == 0
+    lines = curve.read_text().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("10,")

@@ -57,6 +57,12 @@ def test_frame_rejects_non_unit():
         frames.tangent_frame([2.0, 0.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("rotor", [[np.nan, 0.0, 0.0, 0.0], [np.nan] + [0.0] * 7])
+def test_frame_rejects_nan(rotor):
+    with pytest.raises(NonUnitRotor):
+        frames.tangent_frame(rotor)
+
+
 def test_flat_metric_negative_control():
     fr = frames.tangent_frame(random_rotor_coeffs())
     fr.rows[1] *= 1.5
@@ -256,6 +262,10 @@ def test_curvature_needs_two_steps_of_collar_clearance():
     frames.weitzenbock_connection(clear, h)
     frames.torsion_tensor(clear, h)
     frames.curvature_tensor(clear, h)
+    # the same reach below theta = 2 pi, where sin(theta) vanishes again
+    with pytest.raises(ChartDegeneracy, match=r"^point \(1\.2, 6\.\d+, 0\.8\) is within"):
+        frames.curvature_tensor((1.2, 2 * np.pi - frames.COLLAR - h, 0.8), h)
+    frames.curvature_tensor((1.2, 2 * np.pi - frames.COLLAR - 3 * h, 0.8), h)
     # the step is refused before the stencil's reach is checked
     with pytest.raises(StepOutOfRange):
         frames.curvature_tensor((frames.COLLAR + 1e-2, 1.2, 0.8), 1e-2)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spinsphere import algebra, geometry
+from spinsphere import algebra, chsh, geometry
 from spinsphere.errors import DomainError, SingularMatrix
 
 RNG = np.random.Generator(np.random.Philox(key=2))
@@ -225,3 +225,52 @@ def test_saw_laws_share_so3_distance_bitwise():
         biv = -wa[0] * wb[1:] + wb[0] * wa[1:] + np.cross(wa[1:], wb[1:])
         psi = 2.0 * float(np.arctan2(np.linalg.norm(biv), float(np.dot(wa, wb))))
         assert geometry.so3_distance_rotors(qa, qb) == -1.0 + psi / np.pi
+
+
+def bits(values):
+    return np.asarray(values, float).tobytes()
+
+
+def test_batched_laws_equal_the_per_pair_calls_bitwise():
+    rng = np.random.Generator(np.random.Philox(key=18))
+    v = rng.standard_normal((100_000, 2, 3))
+    u = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    e, w = np.eye(3), u[0, 0]
+    # exactly parallel, antiparallel and orthogonal pairs, and a rounded |w.w| > 1
+    special = np.array([(e[0], e[0]), (e[0], -e[0]), (e[0], e[1]), (e[2], e[1]), (w, w), (w, -w)])
+    pairs = np.concatenate([u, special])
+    a, b = pairs[:, 0], pairs[:, 1]
+    eta = geometry.separation_angle(a, b)
+    scalar = [geometry.separation_angle(x, y) for x, y in pairs]
+    assert all(type(t) is float for t in scalar)
+    assert bits(eta) == bits(scalar)
+    assert bits(eta[-6:]) == bits([0.0, np.pi, np.pi / 2, np.pi / 2, 0.0, np.pi])
+    # np.dot's rounding (fused multiply-adds), which a plain sum over the axis does not repeat
+    dots = [np.dot(x, y) for x, y in pairs]
+    assert bits(eta) == bits(np.arccos(np.clip(dots, -1.0, 1.0)))
+    cosine = chsh.su2_cosine_correlator(a, b)
+    assert bits(cosine) == bits(np.negative(dots))
+    assert bits(cosine) == bits([chsh.su2_cosine_correlator(x, y) for x, y in pairs])
+    # the saw correlator is so3_distance of the separation angle, per pair as well
+    assert bits(chsh.so3_saw_correlator(a, b)) == bits(geometry.so3_distance(eta))
+    # half the angles moved to (pi, 2 pi], the saw's second branch; the
+    # per-angle calls take every fifth of them, 2 * 10^4 in all
+    etas = np.concatenate([eta[::2], 2.0 * np.pi - eta[1::2]])
+    for law in (geometry.su2_distance, geometry.so3_distance):
+        batched = law(etas)
+        assert bits(batched[::5]) == bits([law(t) for t in etas[::5].tolist()])
+    for r in range(0, len(pairs), 997):
+        x, y = pairs[r]
+        assert chsh.so3_saw_correlator(x, y) == geometry.so3_distance(scalar[r])
+
+
+@pytest.mark.parametrize("law", [geometry.su2_distance, geometry.so3_distance])
+def test_batched_laws_name_the_first_angle_outside_the_domain(law):
+    with pytest.raises(DomainError, match=r"^angle 7\.0 outside \[0, 6\.28"):
+        law(np.array([0.5, 7.0, -1.0]))
+    with pytest.raises(DomainError, match="^angle nan outside"):
+        law(np.array([[1.0, 2.0], [np.nan, 8.0]]))
+    with pytest.raises(DomainError, match="^angle -1e-300 outside"):
+        law(-1e-300)
+    assert type(law(np.float64(1.0))) is float
+    assert law(np.array([1.0])).shape == (1,)

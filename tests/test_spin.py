@@ -61,6 +61,15 @@ def test_grid_degrees_inclusive_and_validated():
         spin.grid_degrees(10.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("start, step", [(1.0, 1e-20), (10.0, 5e-324), (0.0, 1.0), (-3.5, 2.0)])
+def test_grid_degrees_always_holds_its_start(start, step):
+    # a step too small to move stop leaves arange empty; the grid keeps its start
+    assert spin.grid_degrees(start, start, step).tolist() == [start]
+    cfg = make_config(direction_pairs={"start_deg": start, "stop_deg": start, "step_deg": step})
+    assert cfg.pair_degrees() == [start]
+    assert len(cfg.validate().resolved_pairs()) == 1
+
+
 def test_grid_degrees_row_cap():
     rows = spin.grid_degrees(0.0, spin.MAX_GRID_ROWS - 1.0, 1.0)
     assert rows.size == spin.MAX_GRID_ROWS
@@ -96,6 +105,12 @@ def test_config_validation():
         make_config(n_trials=5).validate()  # balanced needs even n
     with pytest.raises(InvalidConfig):
         make_config(direction_pairs=[(E1, 2 * E2)]).validate()
+
+
+@pytest.mark.parametrize("pair", [([np.nan, 0.0, 0.0], E3), (E3, [0.0, np.nan, 1.0])])
+def test_config_rejects_nan_directions(pair):
+    with pytest.raises(InvalidConfig, match="unit vectors"):
+        make_config(direction_pairs=[pair]).validate()
 
 
 def test_balanced_four_trials():
