@@ -168,17 +168,16 @@ def _torsion_points(args):
 
 def cmd_torsion_check(args) -> int:
     points = _torsion_points(args)
-    records = []
-    for point in points:
-        curvature = frames.curvature_tensor(point, args.h)
-        torsion = frames.torsion_tensor(point, args.h).components
-        records.append(
-            {
-                "point": list(point),
-                "max_abs_curvature": float(np.abs(curvature).max()),
-                "max_abs_torsion": float(np.abs(torsion).max()),
-            }
+    curvature = frames.curvature_tensor(points, args.h)
+    torsion = frames.torsion_tensor(points, args.h).components
+    records = [
+        {"point": list(point), "max_abs_curvature": c, "max_abs_torsion": t}
+        for point, c, t in zip(
+            points,
+            np.abs(curvature).reshape(len(points), -1).max(axis=1).tolist(),
+            np.abs(torsion).reshape(len(points), -1).max(axis=1).tolist(),
         )
+    ]
     report = {
         "h": args.h,
         "points": records,

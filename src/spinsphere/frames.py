@@ -11,6 +11,9 @@ sectional curvature +1) guards against a trivially-zero test setup.
 All derivative estimates use five-point central stencils, O(h^4), each
 level one broadcast call over all its stencil points; the default step
 1e-4 keeps curvature residuals near 1e-7 even close to the collars.
+curvature_tensor and torsion_tensor also take a stack of chart points,
+which they check one by one and then evaluate in fixed chunks, so their
+working memory does not grow with the stack.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ class ConnectionCoefficients:
 
 @dataclass
 class TorsionTensor:
-    """components[sigma, mu, nu], antisymmetric in (mu, nu) by construction."""
+    """components[..., sigma, mu, nu], antisymmetric in (mu, nu) by construction."""
 
     components: np.ndarray
 
@@ -231,16 +234,47 @@ def covariant_constancy_residual(chart_point, h: float = 1e-4) -> float:
     return float(np.abs(resid).max())
 
 
-def curvature_tensor(chart_point, h: float = 1e-4) -> np.ndarray:
-    """R[sigma, alpha, mu, nu] of the frame connection; zero up to stencil noise."""
-    x = check_curvature_point(chart_point, h)
+# curvature points per chunk of a stack; torsion nests one stencil level
+# less, so a chunk of _CHUNK times the 12 stencil points costs the same memory
+_CHUNK = 4
+
+
+def _stacked(check, f, chart_point, h: float, chunk: int) -> np.ndarray:
+    """f at one checked point (3,), or at each point of a stack (n, 3) in chunks.
+
+    Every point of a stack is checked, in order, before any stencil work.
+    """
+    x = np.asarray(chart_point, float)
+    if x.ndim != 2:
+        return f(check(x, h), h)
+    x = np.array([check(point, h) for point in x])
+    return np.concatenate([f(x[i : i + chunk], h) for i in range(0, len(x), chunk)])
+
+
+def _curvature(x: np.ndarray, h: float) -> np.ndarray:
     return _riemann(_omega(x, h), _gradient(lambda y: _omega(y, h), x, h))
 
 
+def _torsion(x: np.ndarray, h: float) -> np.ndarray:
+    omega = _omega(x, h)
+    return omega - np.swapaxes(omega, -1, -2)
+
+
+def curvature_tensor(chart_point, h: float = 1e-4) -> np.ndarray:
+    """R[..., sigma, alpha, mu, nu] of the frame connection; zero up to stencil noise.
+
+    Takes one chart point (3,) or a stack (n, 3); a stack adds a leading axis.
+    """
+    return _stacked(check_curvature_point, _curvature, chart_point, h, _CHUNK)
+
+
 def torsion_tensor(chart_point, h: float = 1e-4) -> TorsionTensor:
-    """Antisymmetrization of the connection's lower indices; O(1) generically."""
-    omega = weitzenbock_connection(chart_point, h).omega
-    return TorsionTensor(components=omega - np.transpose(omega, (0, 2, 1)))
+    """Antisymmetrization of the connection's lower indices; O(1) generically.
+
+    Takes one chart point (3,) or a stack (n, 3); a stack adds a leading axis.
+    """
+    chunk = _CHUNK * _OFFSETS[..., 0].size
+    return TorsionTensor(components=_stacked(_check_point_step, _torsion, chart_point, h, chunk))
 
 
 def torsion_frame_components(chart_point, h: float = 1e-4) -> np.ndarray:
@@ -285,10 +319,13 @@ def torsion_bivector_so3(a, b) -> np.ndarray:
 # curvature +1 everywhere; a connection pipeline that reported zero here
 # would be differentiating nothing.
 
+_EYE3 = np.eye(3)
+
+
 def _round_metric(x: np.ndarray) -> np.ndarray:
     sin_chi = np.sin(x[..., 0])
     diagonal = [np.ones_like(sin_chi), sin_chi**2, (sin_chi * np.sin(x[..., 1])) ** 2]
-    return np.stack(diagonal, axis=-1)[..., None] * np.eye(3)
+    return np.stack(diagonal, axis=-1)[..., None] * _EYE3
 
 
 def _christoffel(x: np.ndarray, h: float) -> np.ndarray:
@@ -301,16 +338,19 @@ def _christoffel(x: np.ndarray, h: float) -> np.ndarray:
     )
 
 
+def _round_curvature(x: np.ndarray, h: float) -> np.ndarray:
+    return _riemann(_christoffel(x, h), _gradient(lambda y: _christoffel(y, h), x, h))
+
+
 def round_metric_curvature(chart_point, h: float = 1e-4) -> np.ndarray:
     """Riemann tensor R[sigma, alpha, mu, nu] of the round metric (nonzero)."""
-    x = _check_point_step(chart_point, h)
-    return _riemann(_christoffel(x, h), _gradient(lambda y: _christoffel(y, h), x, h))
+    return _round_curvature(_check_point_step(chart_point, h), h)
 
 
 def round_metric_sectional(chart_point, h: float = 1e-4) -> np.ndarray:
     """Sectional curvatures of the three coordinate planes; all +1."""
     x = _check_point_step(chart_point, h)
-    R = round_metric_curvature(x, h)
+    R = _round_curvature(x, h)
     g = _round_metric(x)
     R_low = np.einsum("ts,samn->tamn", g, R)
     m, n = np.array([0, 0, 1]), np.array([1, 2, 2])  # the three coordinate planes

@@ -61,7 +61,7 @@ def frw_line_element(chi, theta, phi, dchi, dtheta, dphi) -> float:
 
 def frw_line_element_radial(r, theta, phi, dr, dtheta, dphi) -> float:
     """Same form in the r = sin(chi) chart; singular as r -> 1."""
-    if abs(r) >= 1.0:
+    if not abs(r) < 1.0:
         raise DomainError("radial chart needs |r| < 1")
     return float(
         dr**2 / (1.0 - r**2) + r**2 * (dtheta**2 + np.sin(theta) ** 2 * dphi**2)
@@ -166,7 +166,7 @@ def so3_sin_alpha(eta: float) -> float:
 def basis_orientation(omega) -> int:
     """Orientation class of an ordered 4x4 basis matrix: sign of det."""
     det = float(np.linalg.det(np.asarray(omega, float)))
-    if abs(det) < 1e-12:
+    if not abs(det) >= 1e-12:
         raise SingularMatrix("basis matrix is singular")
     return 1 if det > 0 else -1
 

@@ -101,7 +101,8 @@ def grid_degrees(start_deg: float, stop_deg: float, step_deg: float) -> np.ndarr
 
     The row count is checked against MAX_GRID_ROWS before anything is
     allocated; NaN and infinite bounds fail the same checks.  The grid
-    always holds start, also when step is too small to move stop.
+    always holds start, also when step is too small to move stop, and a
+    grid of two or more rows whose step does not move start is refused.
     """
     if not step_deg > 0:
         raise InvalidConfig("grid step must be positive")
@@ -112,6 +113,11 @@ def grid_degrees(start_deg: float, stop_deg: float, step_deg: float) -> np.ndarr
     if not (stop - start_deg) / step_deg <= MAX_GRID_ROWS:
         raise InvalidConfig(f"grid has more than {MAX_GRID_ROWS} rows")
     grid = np.arange(start_deg, stop, step_deg)
+    # arange fills row i with start + i * (grid[1] - start): a step lost to rounding stalls it
+    if len(grid) > 1 and grid[1] == grid[0]:
+        raise InvalidConfig(
+            f"grid step {step_deg!r} is below the spacing of doubles at {start_deg!r}"
+        )
     return grid if len(grid) else np.array([float(start_deg)])
 
 
@@ -527,7 +533,7 @@ def measurement_limit(psi_sequence, a, lam: int) -> LimitReport:
     last = spin_rotor(tail, a, lam)
     kappas = np.array([0.0, 2.0 * np.pi, 4.0 * np.pi])
     nearest = int(np.argmin(np.abs(kappas - tail)))
-    if abs(tail - kappas[nearest]) > 1e-3:
+    if not abs(tail - kappas[nearest]) <= 1e-3:
         is_scalar = float(np.abs(last[1:]).max()) < 1e-12
         raise NonConvergentSequence(
             f"sequence tail {tail} is not near a 2 kappa pi point",

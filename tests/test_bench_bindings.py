@@ -107,3 +107,27 @@ def test_pooled_monte_carlo_search_keeps_the_wrapped_bindings(monkeypatch):
         assert all(vars(module)[name] is value for name, value in bindings.items())
     names = [s["name"] for s in tracer.spans]
     assert names.count("chsh.search.monte_carlo") == 1
+
+
+def test_traced_torsion_check_runs_under_the_wrappers(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layers
+    import tracing
+
+    program = SimpleNamespace(spin=spin, chsh=chsh, frames=frames, oracle=oracle, cli=cli)
+    modules = (spin, chsh, frames, oracle, cli)
+    before = [dict(vars(m)) for m in modules]
+    out = tmp_path / "torsion.json"
+    tracer = tracing.Tracer()
+    with tracer.installed(lambda t: layers.install(t, program)):
+        assert cli.main(["torsion-check", "--n-points", "5", "--output", str(out)]) == 0
+    for module, bindings in zip(modules, before):
+        assert vars(module).keys() == bindings.keys()
+        assert all(vars(module)[name] is value for name, value in bindings.items())
+    names = [s["name"] for s in tracer.spans]
+    # one stacked call each for the whole command, none through the connection
+    assert names.count("frames.curvature") == 1 and names.count("frames.torsion") == 1
+    metrics = layers.metrics(tracer, 0, 0)
+    assert metrics["frames.curvature.s"] > 0.0 and metrics["frames.torsion.s"] > 0.0
+    assert metrics["frames.connection.calls"] == 0
+    assert metrics["geometry.embed_round.calls"] > 0

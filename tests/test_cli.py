@@ -505,3 +505,34 @@ def test_grids_too_fine_to_reach_stop_still_hold_their_start(tmp_path):
     assert run(["simulate", str(cfg), "--output", str(curve)]) == 0
     lines = curve.read_text().splitlines()
     assert len(lines) == 2 and lines[1].startswith("10,")
+
+
+def test_grid_whose_step_does_not_move_its_start_exits_one(tmp_path, capsys):
+    # arange would repeat start on every one of about 111,000 rows
+    out = tmp_path / "d.csv"
+    argv = ["distances", "--start", "1", "--stop", "1.000000000000001", "--step", "1e-20"]
+    assert run([*argv, "--output", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "spinsphere: grid step 1e-20 is below the spacing of doubles at 1.0\n"
+    )
+    assert not out.exists()
+    spec = {"start_deg": 10.0, "stop_deg": 10.000000000000002, "step_deg": 1e-20}
+    cfg = write_config(tmp_path / "run.json", direction_pairs=spec)
+    curve = tmp_path / "c.csv"
+    assert run(["simulate", str(cfg), "--output", str(curve)]) == 1
+    assert "grid step 1e-20" in capsys.readouterr().err
+    assert not curve.exists()
+
+
+def test_torsion_check_bad_point_in_a_later_chunk_exits_three(tmp_path, capsys):
+    # index 6 lies in the second chunk of the stacked curvature call
+    points = [[1.0 + 0.1 * i, 1.2, 0.8] for i in range(10)]
+    points[6] = [0.05, 1.2, 0.8]
+    path = tmp_path / "pts.json"
+    path.write_text(json.dumps(points))
+    out = tmp_path / "t.json"
+    assert run(["torsion-check", str(path), "--output", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "spinsphere: point (0.05, 1.2, 0.8) is inside the 0.1-rad degeneracy collar\n"
+    )
+    assert not out.exists()

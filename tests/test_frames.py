@@ -1,9 +1,11 @@
 """Tangent frames, the flat connection, and its curvature/torsion signature."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from spinsphere import algebra, frames, geometry
+from spinsphere import algebra, cli, frames, geometry
 from spinsphere.errors import ChartDegeneracy, NonUnitRotor, StepOutOfRange
 
 RNG = np.random.Generator(np.random.Philox(key=3))
@@ -269,3 +271,69 @@ def test_curvature_needs_two_steps_of_collar_clearance():
     # the step is refused before the stencil's reach is checked
     with pytest.raises(StepOutOfRange):
         frames.curvature_tensor((frames.COLLAR + 1e-2, 1.2, 0.8), 1e-2)
+
+
+def admissible_stack(n, key=5):
+    rng = np.random.Generator(np.random.Philox(key=key))
+    lo, hi = frames.COLLAR + 1e-3, np.pi - frames.COLLAR - 1e-3
+    return np.stack(
+        [rng.uniform(lo, hi, n), rng.uniform(lo, hi, n), rng.uniform(0, 2 * np.pi, n)], axis=-1
+    )
+
+
+@pytest.mark.parametrize("n", [1, 4, 5, 48, 49, 100])
+def test_stacked_tensors_equal_the_per_point_calls(n):
+    X = admissible_stack(n)
+    curvature = frames.curvature_tensor(X)
+    torsion = frames.torsion_tensor(X).components
+    assert curvature.shape == (n, 3, 3, 3, 3) and torsion.shape == (n, 3, 3, 3)
+    for point, c, t in zip(X, curvature, torsion):
+        assert np.array_equal(c, frames.curvature_tensor(point))
+        assert np.array_equal(t, frames.torsion_tensor(point).components)
+    # a list of tuples is a stack too
+    listed = [tuple(point) for point in X.tolist()]
+    assert np.array_equal(frames.curvature_tensor(listed), curvature)
+
+
+def test_a_bad_point_in_a_later_chunk_is_refused_before_any_stencil_work(monkeypatch):
+    X = admissible_stack(10)
+    X[6] = (0.05, 1.2, 0.8)
+    X[8] = (np.nan, 1.2, 0.8)  # a later bad point is not the one reported
+    calls = []
+    embed = geometry.embed_round
+    monkeypatch.setattr(frames, "embed_round", lambda *a: calls.append(1) or embed(*a))
+    message = r"^point \(0\.05, 1\.2, 0\.8\) is inside the 0\.1-rad degeneracy collar$"
+    with pytest.raises(ChartDegeneracy, match=message):
+        frames.curvature_tensor(X)
+    with pytest.raises(ChartDegeneracy, match=message):
+        frames.torsion_tensor(X)
+    assert calls == []
+
+
+def test_stacked_torsion_keeps_its_own_collar():
+    # inside the curvature stencil's reach but outside the collar: torsion only
+    X = admissible_stack(3)
+    X[1] = (frames.COLLAR + 1e-4, 1.2, 0.8)
+    with pytest.raises(ChartDegeneracy, match="within the curvature stencil's reach"):
+        frames.curvature_tensor(X)
+    torsion = frames.torsion_tensor(X).components
+    assert np.array_equal(torsion[1], frames.torsion_tensor(X[1]).components)
+
+
+def test_torsion_check_memory_does_not_grow_with_the_points(tmp_path):
+    slack = 2 * 2**20  # an unchunked stack of 400 points would hold about 80 MiB
+
+    def traced_peak(n):
+        out = tmp_path / f"t{n}.json"
+        tracemalloc.start()
+        try:
+            assert cli.main(["torsion-check", "--n-points", str(n), "--output", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, out.stat().st_size
+
+    traced_peak(50)  # first use allocates caches that a later call does not
+    small, _ = traced_peak(50)
+    large, report = traced_peak(400)
+    assert large - small <= report + slack

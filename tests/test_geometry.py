@@ -274,3 +274,13 @@ def test_batched_laws_name_the_first_angle_outside_the_domain(law):
         law(-1e-300)
     assert type(law(np.float64(1.0))) is float
     assert law(np.array([1.0])).shape == (1,)
+
+
+def test_radial_line_element_rejects_nan():
+    with pytest.raises(DomainError):
+        geometry.frw_line_element_radial(np.nan, 0.5, 0.0, 1.0, 0.0, 0.0)
+
+
+def test_basis_orientation_rejects_nan():
+    with np.errstate(invalid="ignore"), pytest.raises(SingularMatrix):
+        geometry.basis_orientation(np.full((4, 4), np.nan))

@@ -809,3 +809,8 @@ def test_draw_block_norms_equal_linalg_norm(scale, tol, monkeypatch):
         assert norms.tobytes() == np.linalg.norm(raw, axis=1).tobytes()
     # a tolerance this wide sends trials of every block through redraws
     assert len(redraws) >= 3 if tol == 0.05 else not redraws
+
+
+def test_measurement_limit_rejects_a_nan_tail():
+    with pytest.raises(NonConvergentSequence):
+        spin.measurement_limit([0.1, np.nan], E3, 1)
