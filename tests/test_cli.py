@@ -140,6 +140,54 @@ def test_simulate_readme_config_bytes_for_any_threads(tmp_path, threads):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == README_SIMULATE_SHA256
 
 
+# sha256 of the simulate CSV for two full blocks and a short one (two
+# trials for balanced_exact, which needs an even n_trials, three otherwise)
+SIMULATE_BLOCKS_SHA256 = {
+    "half_degree_balanced_uniform_r": (
+        dict(
+            n_trials=2 * spin.BLOCK_TRIALS + 2,
+            seed=11,
+            lambda_mode="balanced_exact",
+            alignment_mode="uniform_r",
+            direction_pairs={"start_deg": 0.0, "stop_deg": 180.0, "step_deg": 0.5},
+        ),
+        "15376c6e89d8971e61298800eddfd35372c69128a1b82e4f89b5ab8c544b43c5",
+    ),
+    "offset_7_degree_fair_coin": (
+        dict(
+            n_trials=2 * spin.BLOCK_TRIALS + 3,
+            seed=12,
+            lambda_mode="fair_coin",
+            direction_pairs={"start_deg": 3.0, "stop_deg": 178.0, "step_deg": 7.0},
+        ),
+        "c2ed993591ed607a3eb0d0e5b9428032c6b92883f52153aa437903de22ece242",
+    ),
+    "explicit_pairs": (
+        dict(
+            n_trials=2 * spin.BLOCK_TRIALS + 3,
+            seed=13,
+            lambda_mode="fair_coin",
+            direction_pairs=[
+                [[0, 0, 1], [1, 0, 0]],
+                [[1, 0, 0], [0, 1, 0]],
+                [[0.6, 0, 0.8], [0, -0.8, 0.6]],
+                [[0, 1, 0], [0, -1, 0]],
+            ],
+        ),
+        "f5fb9abedfab672fa141fdf0a2583c84e222f3b0a4dfba19a9196ccd5b7b73cb",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE_BLOCKS_SHA256))
+def test_simulate_block_config_bytes(tmp_path, name):
+    settings, digest = SIMULATE_BLOCKS_SHA256[name]
+    cfg = write_config(tmp_path / "run.json", **settings)
+    out = tmp_path / "curve.csv"
+    assert run(["simulate", str(cfg), "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 # sha256 of each command's output at its default grid, size and seed
 OUTPUT_SHA256 = [
     (["distances"], "ad09897548babcbbab9321634b163383633120213fc007513a1239574113d3e9"),
