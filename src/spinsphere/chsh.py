@@ -294,8 +294,8 @@ def _streamed_count_table(config: ExperimentConfig, threads: int = 1) -> np.ndar
     memory stays bounded whatever n_trials is.
     """
     directions = spin._pair_directions(config.resolved_pairs())[0]
-    n, k = int(config.n_trials), len(directions)
-    return _table_from_bins(*spin._reduce_blocks(n, k, threads, _block_tally, config, directions))
+    n = int(config.n_trials)
+    return _table_from_bins(*spin._reduce_blocks(n, threads, _block_tally, config, directions))
 
 
 def _coplanar_grid_max(table: np.ndarray):

@@ -26,18 +26,22 @@ reduces each block to integer counts and adds them; integer addition is
 associative, so the result does not depend on how, or in which order,
 the blocks are grouped: the same bytes for any threads value and any
 number of workers the blocks are split among.  Memory stays bounded
-whatever n_trials is: per worker, one workspace of k x 2^14 bool signs
-for the k distinct directions, one 8 x 2^14 float64 buffer for the
-projections of 8 directions at a time and a few trial columns,
-allocated once and reused by every block it reduces.  Every consumer
-of the stream runs on _reduce_blocks with a reducer of its own:
-correlation_curve's _block_counts, simulate_ensemble's copy of each
-block and chsh's azimuth-bin counts for the Monte Carlo table.
+whatever n_trials is: per worker, one workspace of buffers allocated on
+first use and reused by every block it reduces.  For a grid config the
+curve keeps a few trial columns there, whatever its number of
+directions; the other consumers keep k x 2^14 bool signs for the k
+distinct directions and one 8 x 2^14 float64 buffer for the
+projections of 8 directions at a time.  Every consumer of the stream
+runs on _reduce_blocks with a reducer of its own, and every one draws
+through _draw and _redraw: correlation_curve's _planar_counts for a
+grid and _block_counts for explicit pairs, simulate_ensemble's copy of
+each block and chsh's azimuth-bin counts for the Monte Carlo table.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -261,60 +265,38 @@ def _blocks(n: int):
 
 
 class _Workspace:
-    """The buffers of one block over k distinct directions.
+    """The buffers of one worker, each allocated on first use and reused.
 
-    Allocated once per worker and reused by every block it reduces: k x
-    BLOCK_TRIALS bool signs, one _SLICE_ROWS x BLOCK_TRIALS float64 buffer
-    for the projections of up to _SLICE_ROWS directions at a time, plus
-    nine float64 trial columns for the raw and squared axes, the norms and
-    the running and per-slice minimum.  Reuse keeps the pages mapped:
-    fresh temporaries would be handed back to the OS at the end of each
-    block and faulted in again by the next (DECISIONS.md).  A block of m
-    trials uses the first m trials of each buffer, as contiguous views, so
-    a short last block takes the same matrix products as a full one.
+    Every block a worker reduces takes its buffers from here by name:
+    take(name, shape) is a contiguous view of the first prod(shape)
+    elements of that buffer, so a block of m trials uses the first m
+    trials and a short last block takes the same matrix products as a
+    full one.  Reuse keeps the pages mapped: fresh temporaries would be
+    handed back to the OS at the end of each block and faulted in again
+    by the next (DECISIONS.md).
     """
 
-    def __init__(self, k: int):
-        self._k = k
-        self._raw = np.empty(3 * BLOCK_TRIALS)
-        self._squares = np.empty(3 * BLOCK_TRIALS)
-        self._proj = np.empty(min(k, _SLICE_ROWS) * BLOCK_TRIALS)
-        self._signs = np.empty(k * BLOCK_TRIALS, dtype=bool)
-        self._norms = np.empty(BLOCK_TRIALS)
-        self._mins = np.empty(2 * BLOCK_TRIALS)
+    def __init__(self):
+        self._buffers = {}
 
-    def views(self, m: int):
-        """(raw, squares, signs, norms, mins, slice_mins) for an m-trial block."""
-        k = self._k
-        return (
-            self._raw[: 3 * m].reshape(m, 3),
-            self._squares[: 3 * m].reshape(m, 3),
-            self._signs[: k * m].reshape(k, m),
-            self._norms[:m],
-            self._mins[:m],
-            self._mins[BLOCK_TRIALS : BLOCK_TRIALS + m],
-        )
-
-    def projections(self, rows: int, m: int) -> np.ndarray:
-        """The (rows, m) projection buffer of one slice, rows <= _SLICE_ROWS."""
-        return self._proj[: rows * m].reshape(rows, m)
+    def take(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.size < size:
+            buffer = self._buffers[name] = np.empty(size, dtype)
+        return buffer[:size].reshape(shape)
 
 
-def _draw_block(
-    config: ExperimentConfig, directions: np.ndarray, c: int, m: int, work: _Workspace
-):
-    """Block c of the ensemble: m trials from Philox(key=seed, counter=[0, 0, 0, c]).
+def _draw(config: ExperimentConfig, c: int, m: int, work: _Workspace):
+    """Block c up to its redraws: m trials from Philox(key=seed, counter=[0, 0, 0, c]).
 
-    Spin axes are three standard normals (normalized by the caller; the
-    direction is exactly isotropic).  Any trial whose axis is within
-    ORTHO_TOL of orthogonality to one of the distinct directions is
-    redrawn from the block's own generator, so the sign scores never see
-    a zero.  Returns raw axes, their norms and the signs
-    directions @ raw.T < 0 of the checked projections, every one at least
-    ORTHO_TOL |raw| in magnitude (views into work), then lam and r_a.
+    The stream's order is axes, orientations, radii, then redraws: this
+    draws the first three and returns the generator for _redraw, with
+    the raw axes (three standard normals each, a view into work; the
+    direction is exactly isotropic), lam and r_a.
     """
     rng = np.random.Generator(np.random.Philox(key=int(config.seed), counter=[0, 0, 0, c]))
-    raw, squares, signs, norms, mins, slice_mins = work.views(m)
+    raw = work.take("raw", (m, 3))
     rng.standard_normal(out=raw)
 
     if config.lambda_mode == "balanced_exact":
@@ -326,8 +308,50 @@ def _draw_block(
         r_a = rng.uniform(0.0, 1.0, size=m)
     else:
         r_a = np.ones(m)
+    return rng, raw, lam, r_a
 
-    # the arithmetic of check below, written into the workspace _SLICE_ROWS
+
+def _check(directions: np.ndarray, vectors: np.ndarray):
+    """The redraw check: projections on the directions, norms, and the flags
+    of vectors shorter than 1e-9 or within ORTHO_TOL of orthogonality."""
+    projections = directions @ vectors.T
+    norms = np.linalg.norm(vectors, axis=1)
+    bad = (norms < 1e-9) | (np.abs(projections).min(axis=0) < ORTHO_TOL * norms)
+    return projections, norms, bad
+
+
+def _redraw(rng, raw: np.ndarray, bad: np.ndarray, recheck) -> None:
+    """The stream's last step: redraw raw[bad] from rng until no trial fails.
+
+    recheck(bad) checks the redrawn raw[bad] and returns the flags of
+    those that fail again; every round draws the failing trials in
+    trial order.
+    """
+    while bad.any():
+        raw[bad] = rng.standard_normal((int(bad.sum()), 3))
+        bad[bad] = recheck(bad)
+
+
+def _draw_block(
+    config: ExperimentConfig, directions: np.ndarray, c: int, m: int, work: _Workspace
+):
+    """Block c of the ensemble with every trial checked against the directions.
+
+    Any trial whose axis is within ORTHO_TOL of orthogonality to one of
+    the distinct directions is redrawn from the block's own generator,
+    so the sign scores never see a zero.  Returns raw axes, their norms
+    and the signs directions @ raw.T < 0 of the checked projections,
+    every one at least ORTHO_TOL |raw| in magnitude (views into work),
+    then lam and r_a.
+    """
+    rng, raw, lam, r_a = _draw(config, c, m, work)
+    squares = work.take("squares", (m, 3))
+    signs = work.take("signs", (len(directions), m), bool)
+    norms = work.take("norms", (m,))
+    mins = work.take("mins", (m,))
+    slice_mins = work.take("slice_mins", (m,))
+
+    # the arithmetic of _check, written into the workspace _SLICE_ROWS
     # directions at a time; the signs are taken before proj is overwritten
     # by its magnitudes, and mins is the minimum over every slice
     np.multiply(raw, raw, out=squares)
@@ -338,7 +362,7 @@ def _draw_block(
     mins.fill(np.inf)
     for lo in range(0, len(directions), _SLICE_ROWS):
         rows = directions[lo : lo + _SLICE_ROWS]
-        proj = work.projections(len(rows), m)
+        proj = work.take("proj", (len(rows), m))
         np.matmul(rows, raw.T, out=proj)
         np.less(proj, 0, out=signs[lo : lo + _SLICE_ROWS])
         np.abs(proj, out=proj)
@@ -346,17 +370,12 @@ def _draw_block(
         np.minimum(mins, slice_mins, out=mins)
     bad = (norms < 1e-9) | (mins < ORTHO_TOL * norms)
 
-    def check(vectors: np.ndarray):
-        projections = directions @ vectors.T
-        norms = np.linalg.norm(vectors, axis=1)
-        bad = (norms < 1e-9) | (np.abs(projections).min(axis=0) < ORTHO_TOL * norms)
-        return projections, norms, bad
-
-    while bad.any():
-        raw[bad] = rng.standard_normal((int(bad.sum()), 3))
-        projections, norms[bad], redo = check(raw[bad])
+    def recheck(bad):
+        projections, norms[bad], redo = _check(directions, raw[bad])
         signs[:, bad] = projections < 0
-        bad[bad] = redo
+        return redo
+
+    _redraw(rng, raw, bad, recheck)
     return raw, norms, signs, lam, r_a
 
 
@@ -378,7 +397,7 @@ def simulate_ensemble(config: ExperimentConfig) -> TrialEnsemble:
         np.divide(raw, norms[:, None], out=s[lo:hi])
         return 0
 
-    _reduce_blocks(n, len(directions), 1, write)
+    _reduce_blocks(n, 1, write)
     return TrialEnsemble(s=s, lam=lam, r_a=r_a)
 
 
@@ -588,6 +607,12 @@ def spin_basis(lam: int):
 _POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.uint8)
 
 
+def _lam_sums(lam: np.ndarray) -> list:
+    """The sums of lam and of lam * (-lam) over a block, as int64."""
+    lam = lam.astype(np.int64)
+    return [lam.sum(), (lam * -lam).sum()]
+
+
 def _block_counts(
     config: ExperimentConfig, directions, ia, ib, c: int, m: int, work: _Workspace
 ) -> np.ndarray:
@@ -596,8 +621,138 @@ def _block_counts(
     _, _, signs, lam, _ = _draw_block(config, directions, c, m, work)
     packed = np.packbits(signs, axis=1)
     differ = _POPCOUNT[packed[ia] ^ packed[ib]].sum(axis=1, dtype=np.int64)
-    lam = lam.astype(np.int64)
-    return np.append(differ, [lam.sum(), (lam * -lam).sum()])
+    return np.append(differ, _lam_sums(lam))
+
+
+class _Plane(NamedTuple):
+    """A grid config's directions as boundary angles in the xz-plane.
+
+    Every grid direction d is (sin t, 0, cos t) and a = z-hat, so raw.d > 0
+    exactly when the trial's angle phi = atan2(raw_x, raw_z) lies within
+    90 degrees of theta = atan2(d_x, d_z).  keys are the boundaries
+    theta -/+ pi/2, wrapped into [-pi, pi) by turns whole turns and
+    sorted; F(key), the trials below a key plus turns times all trials,
+    differs between two keys by the trials between their unwrapped
+    boundaries.  As theta_a = 0 and |theta_b| <= pi, the trials whose
+    signs differ lie between the lower and between the upper boundaries
+    of a and b: differ = |F(b_lo) - F(a_lo)| + |F(b_hi) - F(a_hi)|.
+    gate_lo and gate_hi bound the angles within alpha of a key, wrapped
+    copies included; r2 is R^2 (_plane, DECISIONS.md).
+    """
+
+    directions: np.ndarray
+    ia: np.ndarray
+    ib: np.ndarray
+    keys: np.ndarray
+    turns: np.ndarray
+    a_lo: np.ndarray
+    b_lo: np.ndarray
+    a_hi: np.ndarray
+    b_hi: np.ndarray
+    gate_lo: np.ndarray
+    gate_hi: np.ndarray
+    r2: float
+
+    def counts(self, summed: np.ndarray) -> np.ndarray:
+        """_block_counts' layout (differ per pair, then the lam sums) from
+        summed _planar_counts."""
+        keys, pairs = len(self.keys), len(self.ia)
+        at, exact = summed[:keys], summed[keys : keys + pairs]
+        differ = np.abs(at[self.b_lo] - at[self.a_lo]) + np.abs(at[self.b_hi] - at[self.a_hi])
+        return np.concatenate([differ + exact, summed[keys + pairs :]])
+
+
+def _plane(directions: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> _Plane:
+    """_Plane of a grid config's distinct directions, gated for ORTHO_TOL now.
+
+    A trial at least r |raw| long in the plane and farther than alpha
+    from every boundary has |raw.d| >= r sin(alpha - 1e-13) |raw| >=
+    (2 ORTHO_TOL + 2e-15) |raw| for every direction, so the redraw check
+    passes it and phi gives its signs: 1e-13 covers the rounding of the
+    angles, the rest that of the dot product and the norm.
+    r = cbrt(ORTHO_TOL) keeps both gates rare at the default tolerance.
+    """
+    tol = float(ORTHO_TOL)
+    r = min(0.5, float(np.cbrt(tol + 1e-15)))
+    alpha = 1e-13 + float(np.arcsin(min(1.0, (2.0 * tol + 2e-15) / r)))
+    theta = np.arctan2(directions[:, 0], directions[:, 2])
+    lifted = np.concatenate([theta - np.pi / 2, theta + np.pi / 2])
+    turns = (lifted >= np.pi).astype(np.int64) - (lifted < -np.pi)
+    wrapped = lifted - 2 * np.pi * turns
+    order = np.argsort(wrapped, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    k = len(directions)
+    near = np.sort(np.concatenate([wrapped - 2 * np.pi, wrapped, wrapped + 2 * np.pi]))
+    near = near[np.abs(near) <= np.pi + alpha]
+    return _Plane(
+        directions, ia, ib, wrapped[order], turns[order],
+        rank[ia], rank[ib], rank[k + ia], rank[k + ib],
+        near - alpha, near + alpha, r * r,
+    )
+
+
+def _checks(directions: np.ndarray, vectors: np.ndarray):
+    """_check over vectors in chunks of trials, no chunk's projections
+    larger than _SLICE_ROWS x BLOCK_TRIALS."""
+    step = max(1, _SLICE_ROWS * BLOCK_TRIALS // len(directions))
+    for lo in range(0, len(vectors), step):
+        yield _check(directions, vectors[lo : lo + step])
+
+
+def _failing(directions: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """The redraw check's flags of vectors, from _checks."""
+    return np.concatenate([bad for _, _, bad in _checks(directions, vectors)])
+
+
+def _planar_counts(config: ExperimentConfig, plane: _Plane, c: int, m: int, work: _Workspace):
+    """Integer counts of block c for a grid config, from sorted in-plane angles.
+
+    Returns F at plane's keys, per pair the exact path's trials whose
+    signs differ, then the lam sums; _Plane.counts turns their sum over
+    blocks into _block_counts'.  Exact-path trials, within alpha of a
+    key or short in the plane, leave F and get _draw_block's check,
+    redraws and signs from projections.  Every other trial passes the
+    check unredrawn (_plane), so the counts are _block_counts'.
+    """
+    rng, raw, lam, _ = _draw(config, c, m, work)
+    squares = work.take("squares", (m, 3))
+    inplane = work.take("inplane", (m,))
+    gate = work.take("gate", (m,))
+    exact = work.take("exact", (m,), bool)
+    np.multiply(raw, raw, out=squares)
+    np.add(squares[:, 0], squares[:, 2], out=inplane)
+    np.add(squares[:, 0], squares[:, 1], out=gate)
+    np.add(gate, squares[:, 2], out=gate)
+    np.multiply(gate, plane.r2, out=gate)
+    np.add(gate, 2e-18, out=gate)
+    np.less(inplane, gate, out=exact)
+
+    phi = work.take("phi", (m,))
+    ordered = work.take("ordered", (m,))
+    np.arctan2(raw[:, 0], raw[:, 2], out=phi)
+    np.copyto(ordered, phi)
+    ordered.sort()
+    lo = np.searchsorted(ordered, plane.gate_lo)
+    hi = np.searchsorted(ordered, plane.gate_hi, "right")
+    hit = np.flatnonzero(hi > lo)
+    if hit.size:
+        near = np.concatenate([ordered[a:b] for a, b in zip(lo[hit], hi[hit])])
+        exact |= np.isin(phi, near)
+    below = np.searchsorted(ordered, plane.keys) + plane.turns * m
+
+    differ = np.zeros(len(plane.ia), dtype=np.int64)
+    rows = np.flatnonzero(exact)
+    if rows.size:
+        below -= np.searchsorted(np.sort(phi[rows]), plane.keys) + plane.turns * rows.size
+        bad = work.take("bad", (m,), bool)
+        bad.fill(False)
+        bad[rows] = _failing(plane.directions, raw[rows])
+        _redraw(rng, raw, bad, lambda bad: _failing(plane.directions, raw[bad]))
+        for projections, _, _ in _checks(plane.directions, raw[rows]):
+            signs = projections < 0
+            differ += np.count_nonzero(signs[plane.ia] != signs[plane.ib], axis=1)
+    return np.concatenate([below, differ, _lam_sums(lam)])
 
 
 def _curve_rows(pairs, counts: np.ndarray, n: int):
@@ -643,12 +798,12 @@ def _worker_count(threads: int, n_blocks: int) -> int:
     return max(1, min(int(threads), n_blocks, _usable_cpus()))
 
 
-def _reduce_blocks(n: int, k: int, threads: int, reducer, *args):
+def _reduce_blocks(n: int, threads: int, reducer, *args):
     """Sum of reducer(*args, c, m, work) over the blocks (c, m trials) of n trials.
 
     Worker w of _worker_count(threads, blocks) workers reduces blocks w,
-    w + workers, w + 2 workers, ... through a _Workspace over k
-    directions and a running sum of its own.  Worker 0 is the calling
+    w + workers, w + 2 workers, ... through a _Workspace and a running
+    sum of its own.  Worker 0 is the calling
     thread and each other worker is a thread started here, so one worker
     starts none.  The first exception of any worker stops the others at
     their next block and is raised here once every thread has ended.
@@ -658,7 +813,7 @@ def _reduce_blocks(n: int, k: int, threads: int, reducer, *args):
     failures = []
 
     def reduce(w: int):
-        work = _Workspace(k)
+        work = _Workspace()
         for c, lo, hi in itertools.islice(_blocks(n), w, None, workers):
             if failures:
                 return
@@ -690,13 +845,17 @@ def _reduce_blocks(n: int, k: int, threads: int, reducer, *args):
 def correlation_curve(config: ExperimentConfig, threads: int = 1):
     """CorrelationResult list over the configured pairs, one shared ensemble.
 
-    The ensemble is never held in memory: each block of _draw_block is
-    reduced to _block_counts and the integer counts are added.  The blocks
-    are split among _worker_count(threads, blocks) workers, each with one
-    _Workspace of about k x 2^14 bytes of signs for the k distinct
-    directions plus 2.1 MiB, reused by every block it reduces.  Integer
-    sums do not depend on how the blocks are grouped, so the rows are the
-    same bytes for any threads value and any worker count.  They equal
+    The ensemble is never held in memory: each block is reduced to
+    integer counts and the counts are added.  A grid config's blocks go
+    through _planar_counts, which counts sorted in-plane angles; explicit
+    pairs go through _block_counts, which projects every trial on every
+    distinct direction.  The blocks are split among
+    _worker_count(threads, blocks) workers, each with one _Workspace
+    reused by every block it reduces: about 1.25 MiB for a grid whatever
+    its number of directions, and k x 2^14 bytes of signs for the k
+    distinct directions of explicit pairs plus 2.1 MiB.  Integer sums do
+    not depend on how the blocks are grouped, so the rows are the same
+    bytes for any threads value and any worker count.  They equal
     raw_correlation and standard_score_correlation on
     simulate_ensemble(config) bit for bit, and the scalar product form is
     computed once, from the whole ensemble's counts.
@@ -706,5 +865,9 @@ def correlation_curve(config: ExperimentConfig, threads: int = 1):
     _require_trials(n, 2)
     pairs = config.resolved_pairs()
     directions, ia, ib = _pair_directions(pairs)
-    counts = _reduce_blocks(n, len(directions), threads, _block_counts, config, directions, ia, ib)
+    if config._grid() is None:
+        counts = _reduce_blocks(n, threads, _block_counts, config, directions, ia, ib)
+    else:
+        plane = _plane(directions, ia, ib)
+        counts = plane.counts(_reduce_blocks(n, threads, _planar_counts, config, plane))
     return _curve_rows(pairs, counts, n)

@@ -212,23 +212,36 @@ def test_command_output_bytes(tmp_path, argv, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-def test_simulate_worker_memory_error_exits_one(tmp_path, capsys, monkeypatch):
+def assert_worker_memory_error_exits_one(tmp_path, capsys, monkeypatch, reducer, **config):
     monkeypatch.setattr(spin, "_usable_cpus", lambda: 2)
-    original = spin._block_counts
+    original = getattr(spin, reducer)
 
-    def failing(config, directions, ia, ib, c, m, work):
-        if c == 1:
+    def failing(*args):
+        if args[-3] == 1:  # the reducer's block index c
             raise MemoryError("block 1")
-        return original(config, directions, ia, ib, c, m, work)
+        return original(*args)
 
-    monkeypatch.setattr(spin, "_block_counts", failing)
-    cfg = write_config(tmp_path / "cfg.json", n_trials=4 * spin.BLOCK_TRIALS)
+    monkeypatch.setattr(spin, reducer, failing)
+    cfg = write_config(tmp_path / "cfg.json", n_trials=4 * spin.BLOCK_TRIALS, **config)
     out = tmp_path / "s.csv"
     # block 1 is reduced on the second worker's thread
     assert run(["simulate", str(cfg), "--threads", "2", "--output", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("spinsphere: input too large for memory") and "Traceback" not in err
     assert not out.exists()
+
+
+def test_simulate_worker_memory_error_exits_one(tmp_path, capsys, monkeypatch):
+    # a grid config: its blocks go through the planar reducer
+    assert_worker_memory_error_exits_one(tmp_path, capsys, monkeypatch, "_planar_counts")
+
+
+def test_simulate_pairs_worker_memory_error_exits_one(tmp_path, capsys, monkeypatch):
+    # explicit pairs: their blocks go through the projection reducer
+    pairs = [[[0, 0, 1], [1, 0, 0]], [[0, 0, 1], [0.6, 0, 0.8]]]
+    assert_worker_memory_error_exits_one(
+        tmp_path, capsys, monkeypatch, "_block_counts", direction_pairs=pairs
+    )
 
 
 def test_simulate_seed_override_changes_output(tmp_path):

@@ -552,6 +552,68 @@ def test_streamed_curve_through_redraws(name, monkeypatch):
     assert_curve_equals_materialized_estimators(cfg, trials)
 
 
+def assert_planar_blocks_equal_projection_blocks(cfg):
+    cfg.validate()
+    directions, ia, ib = spin._pair_directions(cfg.resolved_pairs())
+    plane = spin._plane(directions, ia, ib)
+    for c, lo, hi in spin._blocks(cfg.n_trials):
+        projected = spin._block_counts(cfg, directions, ia, ib, c, hi - lo, spin._Workspace())
+        planar = plane.counts(spin._planar_counts(cfg, plane, c, hi - lo, spin._Workspace()))
+        assert planar.tobytes() == projected.tobytes()
+
+
+PLANAR_GRIDS = {
+    "5": (0.0, 180.0, 5.0),
+    "7": (0.0, 180.0, 7.0),
+    "3_step_7": (3.0, 178.0, 7.0),
+    "half": (0.0, 180.0, 0.5),
+    "one_row": (10.0, 10.0, 1.0),
+    "0_to_180_by_45": (0.0, 180.0, 45.0),
+    "minus_180_to_180_by_30": (-180.0, 180.0, 30.0),
+}
+
+
+# at 0.05 only grids more than 5 degrees apart: on a finer one every in-plane
+# angle lies within asin(0.05) = 2.9 degrees of a boundary, and the redraws
+# of either reducer would never end
+PLANAR_CASES = [(grid, spin.ORTHO_TOL) for grid in sorted(PLANAR_GRIDS)] + [
+    (grid, 0.05) for grid in sorted(PLANAR_GRIDS) if PLANAR_GRIDS[grid][2] > 5.0
+]
+
+
+@pytest.mark.parametrize("alignment_mode", ["unit", "uniform_r"])
+@pytest.mark.parametrize("lambda_mode", ["fair_coin", "balanced_exact"])
+@pytest.mark.parametrize("grid, tol", PLANAR_CASES)
+def test_planar_block_counts_equal_projection_counts(grid, tol, lambda_mode, alignment_mode, monkeypatch):
+    start, stop, step = PLANAR_GRIDS[grid]
+    monkeypatch.setattr(spin, "ORTHO_TOL", tol)
+    cfg = make_config(
+        n_trials=spin.BLOCK_TRIALS + 2,
+        seed=2026,
+        lambda_mode=lambda_mode,
+        alignment_mode=alignment_mode,
+        direction_pairs={"start_deg": start, "stop_deg": stop, "step_deg": step},
+    )
+    assert_planar_blocks_equal_projection_blocks(cfg)
+
+
+def test_a_trial_near_a_boundary_takes_the_exact_path(monkeypatch):
+    # found by search: at seed 40 one trial of the default grid's first block
+    # lies within alpha of a boundary at the default tolerance
+    checked = []
+    checks = spin._checks
+
+    def recorded(directions, vectors):
+        checked.append(len(vectors))
+        return checks(directions, vectors)
+
+    monkeypatch.setattr(spin, "_checks", recorded)
+    cfg = spin.ExperimentConfig(n_trials=spin.BLOCK_TRIALS, seed=40, lambda_mode="fair_coin")
+    assert_planar_blocks_equal_projection_blocks(cfg)
+    # the check on the trial, then its signs; it is not redrawn
+    assert checked == [1, 1]
+
+
 @pytest.mark.parametrize("name", ["fair_coin_grid", "balanced_pairs_uniform_r"])
 def test_block_sums_in_reversed_order_give_the_same_bytes(name):
     cfg = stream_config(name).validate()
@@ -559,11 +621,14 @@ def test_block_sums_in_reversed_order_give_the_same_bytes(name):
     directions, ia, ib = spin._pair_directions(pairs)
     blocks = list(spin._blocks(cfg.n_trials))
     assert len(blocks) == 3
-    counts = [
-        spin._block_counts(cfg, directions, ia, ib, c, hi - lo, spin._Workspace(len(directions)))
-        for c, lo, hi in blocks
-    ]
-    backward = spin._curve_rows(pairs, sum(reversed(counts)), cfg.n_trials)
+    # a grid's blocks go through the planar reducer, explicit pairs' through projections
+    if cfg._grid() is None:
+        reduce, args, layout = spin._block_counts, (directions, ia, ib), lambda summed: summed
+    else:
+        plane = spin._plane(directions, ia, ib)
+        reduce, args, layout = spin._planar_counts, (plane,), plane.counts
+    counts = [reduce(cfg, *args, c, hi - lo, spin._Workspace()) for c, lo, hi in blocks]
+    backward = spin._curve_rows(pairs, layout(sum(reversed(counts))), cfg.n_trials)
     forward = spin.correlation_curve(cfg)
 
     def row_bytes(rows):
@@ -646,27 +711,40 @@ def test_pooled_correlation_curve_reuses_its_pages():
     assert int(out.stdout) < 6_000
 
 
-def test_workspace_memory_grows_by_the_signs_per_direction():
+def grid_curve_peak(step_deg, explicit):
     import tracemalloc
 
+    grid = {"start_deg": 0.0, "stop_deg": 180.0, "step_deg": step_deg}
+    cfg = make_config(
+        n_trials=2 * spin.BLOCK_TRIALS,
+        lambda_mode="fair_coin",
+        # the same pairs as explicit vectors take the projection reducer
+        direction_pairs=spin.grid_pairs(**grid) if explicit else grid,
+    )
+    tracemalloc.start()
+    try:
+        spin.correlation_curve(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_workspace_memory_grows_by_the_signs_per_direction():
     def peak(step_deg):
-        cfg = make_config(
-            n_trials=2 * spin.BLOCK_TRIALS,
-            lambda_mode="fair_coin",
-            direction_pairs={"start_deg": 0.0, "stop_deg": 180.0, "step_deg": step_deg},
-        )
-        tracemalloc.start()
-        try:
-            spin.correlation_curve(cfg)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return grid_curve_peak(step_deg, explicit=True)
 
     # k = 37 distinct directions against k = 361; the float64 projections
     # (128 KiB per direction unsliced) no longer grow with k, the 16 KiB
     # of bool signs per direction still do
     per_direction = (peak(0.5) - peak(5.0)) / (361 - 37)
     assert per_direction <= 32 * 1024
+
+
+def test_grid_curve_memory_does_not_grow_with_directions():
+    # k = 37 distinct directions against k = 3,601: the planar reducer keeps
+    # no per-direction signs, where the projection reducer keeps 16 KiB each
+    per_direction = (grid_curve_peak(0.05, False) - grid_curve_peak(5.0, False)) / (3601 - 37)
+    assert per_direction <= 2 * 1024
 
 
 def curve_bytes(rows):
@@ -684,22 +762,21 @@ def curve_bytes(rows):
     ]
 
 
-@pytest.mark.parametrize("tol", [spin.ORTHO_TOL, 0.05])
-def test_pooled_rows_are_the_same_bytes_for_any_worker_count(tol, monkeypatch):
+def assert_pooled_rows_are_the_same_bytes(name, reducer, tol, monkeypatch):
     # five full blocks and a short one; 0.05 sends many trials through redraws
     configs = STREAM_CONFIGS if tol == spin.ORTHO_TOL else REDRAW_CONFIGS
-    settings = configs["fair_coin_grid"]
+    settings = configs[name]
     cfg = make_config(n_trials=5 * spin.BLOCK_TRIALS + 3, **settings)
     monkeypatch.setattr(spin, "ORTHO_TOL", tol)
     monkeypatch.setattr(spin, "_usable_cpus", lambda: 8)
-    original = spin._block_counts
+    original = getattr(spin, reducer)
     ran = {}
 
-    def recorded(config, directions, ia, ib, c, m, work):
-        ran[c] = threading.current_thread()
-        return original(config, directions, ia, ib, c, m, work)
+    def recorded(*args):
+        ran[args[-3]] = threading.current_thread()  # the reducer's block index c
+        return original(*args)
 
-    monkeypatch.setattr(spin, "_block_counts", recorded)
+    monkeypatch.setattr(spin, reducer, recorded)
     rows = {}
     interval = sys.getswitchinterval()
     # frequent thread switches, with more workers than a 2-core host has cores
@@ -717,6 +794,16 @@ def test_pooled_rows_are_the_same_bytes_for_any_worker_count(tol, monkeypatch):
     assert rows[1] == rows[2] == rows[3]
 
 
+@pytest.mark.parametrize("tol", [spin.ORTHO_TOL, 0.05])
+def test_pooled_rows_are_the_same_bytes_for_any_worker_count(tol, monkeypatch):
+    assert_pooled_rows_are_the_same_bytes("fair_coin_grid", "_planar_counts", tol, monkeypatch)
+
+
+@pytest.mark.parametrize("tol", [spin.ORTHO_TOL, 0.05])
+def test_pooled_pair_rows_are_the_same_bytes_for_any_worker_count(tol, monkeypatch):
+    assert_pooled_rows_are_the_same_bytes("fair_coin_pairs", "_block_counts", tol, monkeypatch)
+
+
 def test_worker_count_is_capped_by_blocks_and_usable_cpus(monkeypatch):
     before = threading.active_count()
     cpus = spin._usable_cpus()
@@ -730,12 +817,13 @@ def test_worker_count_is_capped_by_blocks_and_usable_cpus(monkeypatch):
     assert threading.active_count() == before
 
 
-def test_a_failing_worker_raises_in_the_caller(monkeypatch):
+def assert_a_failing_worker_raises_in_the_caller(reducer, direction_pairs, monkeypatch):
     monkeypatch.setattr(spin, "_usable_cpus", lambda: 2)
-    original = spin._block_counts
+    original = getattr(spin, reducer)
     ran, failed = [], []
 
-    def failing(config, directions, ia, ib, c, m, work):
+    def failing(*args):
+        c = args[-3]  # the reducer's block index
         ran.append(c)
         if c == 3:
             failed.append(threading.current_thread())
@@ -748,10 +836,10 @@ def test_a_failing_worker_raises_in_the_caller(monkeypatch):
                 time.sleep(0.001)
             failed[0].join(timeout=60)
             assert not failed[0].is_alive()
-        return original(config, directions, ia, ib, c, m, work)
+        return original(*args)
 
-    monkeypatch.setattr(spin, "_block_counts", failing)
-    cfg = make_config(n_trials=40 * spin.BLOCK_TRIALS, direction_pairs=[(E3, E1)])
+    monkeypatch.setattr(spin, reducer, failing)
+    cfg = make_config(n_trials=40 * spin.BLOCK_TRIALS, direction_pairs=direction_pairs)
     before = threading.active_count()
     # block 3 is the second block of worker 1, a thread of its own
     with pytest.raises(MemoryError, match="block 3"):
@@ -759,6 +847,14 @@ def test_a_failing_worker_raises_in_the_caller(monkeypatch):
     assert threading.active_count() == before
     # the calling thread stops at its next block instead of reducing all 20
     assert 3 in ran and max(ran) <= 4
+
+
+def test_a_failing_worker_raises_in_the_caller(monkeypatch):
+    assert_a_failing_worker_raises_in_the_caller("_block_counts", [(E3, E1)], monkeypatch)
+
+
+def test_a_failing_grid_worker_raises_in_the_caller(monkeypatch):
+    assert_a_failing_worker_raises_in_the_caller("_planar_counts", GRID_7, monkeypatch)
 
 
 def test_correlation_curve_references():
@@ -802,7 +898,7 @@ def test_draw_block_norms_equal_linalg_norm(scale, tol, monkeypatch):
         n_trials=2 * spin.BLOCK_TRIALS + 3, lambda_mode="fair_coin", direction_pairs=GRID_7
     )
     directions = spin._pair_directions(cfg.validate().resolved_pairs())[0]
-    work = spin._Workspace(len(directions))
+    work = spin._Workspace()
     for c, lo, hi in spin._blocks(cfg.n_trials):
         raw, norms = spin._draw_block(cfg, directions, c, hi - lo, work)[:2]
         assert np.abs(np.log10(norms / scale)).max() < 2
