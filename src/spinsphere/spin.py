@@ -635,9 +635,10 @@ class _Plane(NamedTuple):
     differs between two keys by the trials between their unwrapped
     boundaries.  As theta_a = 0 and |theta_b| <= pi, the trials whose
     signs differ lie between the lower and between the upper boundaries
-    of a and b: differ = |F(b_lo) - F(a_lo)| + |F(b_hi) - F(a_hi)|.
-    gate_lo and gate_hi bound the angles within alpha of a key, wrapped
-    copies included; r2 is R^2 (_plane, DECISIONS.md).
+    of a and b: differ = |F(b_lo) - F(a_lo)| + |F(b_hi) - F(a_hi)|, with
+    ends the four rows of key indices.  gates bounds the angles within
+    alpha of a key, wrapped copies included; r2 is R^2 (_plane,
+    DECISIONS.md).
     """
 
     directions: np.ndarray
@@ -645,21 +646,17 @@ class _Plane(NamedTuple):
     ib: np.ndarray
     keys: np.ndarray
     turns: np.ndarray
-    a_lo: np.ndarray
-    b_lo: np.ndarray
-    a_hi: np.ndarray
-    b_hi: np.ndarray
-    gate_lo: np.ndarray
-    gate_hi: np.ndarray
+    ends: np.ndarray  # (4, pairs): a_lo, b_lo, a_hi, b_hi
+    gates: np.ndarray  # (2, gates): lower and upper bounds
     r2: float
 
     def counts(self, summed: np.ndarray) -> np.ndarray:
         """_block_counts' layout (differ per pair, then the lam sums) from
         summed _planar_counts."""
         keys, pairs = len(self.keys), len(self.ia)
-        at, exact = summed[:keys], summed[keys : keys + pairs]
-        differ = np.abs(at[self.b_lo] - at[self.a_lo]) + np.abs(at[self.b_hi] - at[self.a_hi])
-        return np.concatenate([differ + exact, summed[keys + pairs :]])
+        a_lo, b_lo, a_hi, b_hi = summed[:keys][self.ends]
+        differ = np.abs(b_lo - a_lo) + np.abs(b_hi - a_hi) + summed[keys : keys + pairs]
+        return np.concatenate([differ, summed[keys + pairs :]])
 
 
 def _plane(directions: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> _Plane:
@@ -679,17 +676,15 @@ def _plane(directions: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> _Plane:
     lifted = np.concatenate([theta - np.pi / 2, theta + np.pi / 2])
     turns = (lifted >= np.pi).astype(np.int64) - (lifted < -np.pi)
     wrapped = lifted - 2 * np.pi * turns
-    order = np.argsort(wrapped, kind="stable")
+    order = np.argsort(wrapped)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     k = len(directions)
     near = np.sort(np.concatenate([wrapped - 2 * np.pi, wrapped, wrapped + 2 * np.pi]))
     near = near[np.abs(near) <= np.pi + alpha]
-    return _Plane(
-        directions, ia, ib, wrapped[order], turns[order],
-        rank[ia], rank[ib], rank[k + ia], rank[k + ib],
-        near - alpha, near + alpha, r * r,
-    )
+    ends = np.stack([rank[ia], rank[ib], rank[k + ia], rank[k + ib]])
+    gates = np.stack([near - alpha, near + alpha])
+    return _Plane(directions, ia, ib, wrapped[order], turns[order], ends, gates, r * r)
 
 
 def _checks(directions: np.ndarray, vectors: np.ndarray):
@@ -733,8 +728,8 @@ def _planar_counts(config: ExperimentConfig, plane: _Plane, c: int, m: int, work
     np.arctan2(raw[:, 0], raw[:, 2], out=phi)
     np.copyto(ordered, phi)
     ordered.sort()
-    lo = np.searchsorted(ordered, plane.gate_lo)
-    hi = np.searchsorted(ordered, plane.gate_hi, "right")
+    lo = np.searchsorted(ordered, plane.gates[0])
+    hi = np.searchsorted(ordered, plane.gates[1], "right")
     hit = np.flatnonzero(hi > lo)
     if hit.size:
         near = np.concatenate([ordered[a:b] for a, b in zip(lo[hit], hi[hit])])

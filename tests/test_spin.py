@@ -584,7 +584,9 @@ PLANAR_CASES = [(grid, spin.ORTHO_TOL) for grid in sorted(PLANAR_GRIDS)] + [
 @pytest.mark.parametrize("alignment_mode", ["unit", "uniform_r"])
 @pytest.mark.parametrize("lambda_mode", ["fair_coin", "balanced_exact"])
 @pytest.mark.parametrize("grid, tol", PLANAR_CASES)
-def test_planar_block_counts_equal_projection_counts(grid, tol, lambda_mode, alignment_mode, monkeypatch):
+def test_planar_block_counts_equal_projection_counts(
+    grid, tol, lambda_mode, alignment_mode, monkeypatch
+):
     start, stop, step = PLANAR_GRIDS[grid]
     monkeypatch.setattr(spin, "ORTHO_TOL", tol)
     cfg = make_config(
@@ -743,7 +745,8 @@ def test_workspace_memory_grows_by_the_signs_per_direction():
 def test_grid_curve_memory_does_not_grow_with_directions():
     # k = 37 distinct directions against k = 3,601: the planar reducer keeps
     # no per-direction signs, where the projection reducer keeps 16 KiB each
-    per_direction = (grid_curve_peak(0.05, False) - grid_curve_peak(5.0, False)) / (3601 - 37)
+    fine, coarse = grid_curve_peak(0.05, explicit=False), grid_curve_peak(5.0, explicit=False)
+    per_direction = (fine - coarse) / (3601 - 37)
     assert per_direction <= 2 * 1024
 
 
