@@ -280,7 +280,7 @@ def _planar_count_table(trials) -> np.ndarray:
 
 def _block_tally(config: ExperimentConfig, directions, c: int, m: int, work) -> np.ndarray:
     """Block c's _azimuth_bins of its unit axes raw / norms, as a pair that adds up."""
-    raw, norms, _, _, _ = spin._draw_block(config, directions, c, m, work)
+    raw, norms, _, _ = spin._checked_draw(config, directions, c, m, work)
     tally = np.empty(2, dtype=object)  # the pool's running sums add it element-wise
     tally[0], tally[1] = _azimuth_bins(np.divide(raw, norms[:, None], out=raw))
     return tally

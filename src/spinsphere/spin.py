@@ -27,15 +27,15 @@ associative, so the result does not depend on how, or in which order,
 the blocks are grouped: the same bytes for any threads value and any
 number of workers the blocks are split among.  Memory stays bounded
 whatever n_trials is: per worker, one workspace of buffers allocated on
-first use and reused by every block it reduces.  For a grid config the
-curve keeps a few trial columns there, whatever its number of
-directions; the other consumers keep k x 2^14 bool signs for the k
-distinct directions and one 8 x 2^14 float64 buffer for the
-projections of 8 directions at a time.  Every consumer of the stream
-runs on _reduce_blocks with a reducer of its own, and every one draws
-through _draw and _redraw: correlation_curve's _planar_counts for a
-grid and _block_counts for explicit pairs, simulate_ensemble's copy of
-each block and chsh's azimuth-bin counts for the Monte Carlo table.
+first use and reused by every block it reduces: a few trial columns
+and at most 8 x 2^14 float64 projections, whatever the number of
+directions.  Every consumer of the stream runs on _reduce_blocks with a
+reducer of its own, and every one draws through _draw and _redraw:
+correlation_curve's _planar_counts for a grid and _block_counts for
+explicit pairs, simulate_ensemble's copy of each block and chsh's
+azimuth-bin counts for the Monte Carlo table.  Every trial is checked by
+the one check, _failing, and every pair's differing signs are counted by
+the one counter, _differ, both over chunks of trials from _projections.
 """
 
 from __future__ import annotations
@@ -91,8 +91,9 @@ __all__ = [
 
 ORTHO_TOL = 1e-12
 BLOCK_TRIALS = 2**14  # even, so every balanced_exact block is balanced
-# directions projected per matrix product: a product this small stays on
-# one OpenBLAS thread, so pooled workers do not oversubscribe the cores
+# a chunk of trials is projected on every direction in one matrix product
+# of at most _SLICE_ROWS x BLOCK_TRIALS floats: a product this small stays
+# on one OpenBLAS thread, so pooled workers do not oversubscribe the cores
 _SLICE_ROWS = 8
 MAX_GRID_ROWS = 1_000_000
 
@@ -138,8 +139,8 @@ class ExperimentConfig:
     """Generation parameters for one ensemble.
 
     direction_pairs is either an explicit list of (a, b) unit vectors or
-    a grid spec dict with start_deg/stop_deg/step_deg keys; None means
-    the default 0..180 grid in 5 degree steps.
+    a grid spec dict of exactly the start_deg/stop_deg/step_deg keys;
+    None means the default 0..180 grid in 5 degree steps.
     """
 
     n_trials: int
@@ -155,6 +156,9 @@ class ExperimentConfig:
             return 0.0, 180.0, 5.0
         if not isinstance(spec, dict):
             return None
+        extra = set(spec) - {"start_deg", "stop_deg", "step_deg"}
+        if extra:
+            raise InvalidConfig(f"unknown grid spec keys {sorted(extra, key=str)}")
         try:
             return float(spec["start_deg"]), float(spec["stop_deg"]), float(spec["step_deg"])
         except KeyError as missing:
@@ -270,10 +274,11 @@ class _Workspace:
     Every block a worker reduces takes its buffers from here by name:
     take(name, shape) is a contiguous view of the first prod(shape)
     elements of that buffer, so a block of m trials uses the first m
-    trials and a short last block takes the same matrix products as a
-    full one.  Reuse keeps the pages mapped: fresh temporaries would be
-    handed back to the OS at the end of each block and faulted in again
-    by the next (DECISIONS.md).
+    trials.  _projections writes every chunk's product into one buffer,
+    so a worker's buffers do not grow with the number of directions.
+    Reuse keeps the pages mapped: fresh temporaries would be handed back
+    to the OS at the end of each block and faulted in again by the next
+    (DECISIONS.md).
     """
 
     def __init__(self):
@@ -311,15 +316,6 @@ def _draw(config: ExperimentConfig, c: int, m: int, work: _Workspace):
     return rng, raw, lam, r_a
 
 
-def _check(directions: np.ndarray, vectors: np.ndarray):
-    """The redraw check: projections on the directions, norms, and the flags
-    of vectors shorter than 1e-9 or within ORTHO_TOL of orthogonality."""
-    projections = directions @ vectors.T
-    norms = np.linalg.norm(vectors, axis=1)
-    bad = (norms < 1e-9) | (np.abs(projections).min(axis=0) < ORTHO_TOL * norms)
-    return projections, norms, bad
-
-
 def _redraw(rng, raw: np.ndarray, bad: np.ndarray, recheck) -> None:
     """The stream's last step: redraw raw[bad] from rng until no trial fails.
 
@@ -332,57 +328,67 @@ def _redraw(rng, raw: np.ndarray, bad: np.ndarray, recheck) -> None:
         bad[bad] = recheck(bad)
 
 
-def _draw_block(
+def _projections(directions: np.ndarray, vectors: np.ndarray, work: _Workspace, rows: int = 0):
+    """(first vector, directions @ chunk.T) over chunks of the vectors, each
+    written into work's "proj" buffer; neither it nor the rows a caller
+    gathers from it (the counter's pairs) exceed _SLICE_ROWS x BLOCK_TRIALS."""
+    step = max(1, _SLICE_ROWS * BLOCK_TRIALS // max(len(directions), rows))
+    for lo in range(0, len(vectors), step):
+        chunk = vectors[lo : lo + step]
+        proj = work.take("proj", (len(directions), len(chunk)))
+        yield lo, np.matmul(directions, chunk.T, out=proj)
+
+
+def _failing(directions: np.ndarray, vectors: np.ndarray, work: _Workspace, norms=None):
+    """The redraw check: flags of the vectors with norm below 1e-9 or some
+    |projection| below ORTHO_TOL x norm; norms default to np.linalg.norm's."""
+    norms = np.linalg.norm(vectors, axis=1) if norms is None else norms
+    mins = work.take("mins", (len(vectors),))
+    for lo, proj in _projections(directions, vectors, work):
+        np.abs(proj, out=proj)
+        np.minimum.reduce(proj, axis=0, out=mins[lo : lo + proj.shape[1]])
+    return (norms < 1e-9) | (mins < ORTHO_TOL * norms)
+
+
+def _differ(directions, ia, ib, vectors: np.ndarray, work: _Workspace) -> np.ndarray:
+    """Per pair, the checked vectors whose signs at directions[ia] and
+    directions[ib] differ, as int64."""
+    differ = np.zeros(len(ia), dtype=np.int64)
+    for _, proj in _projections(directions, vectors, work, len(ia)):
+        negative = np.less(proj, 0, out=work.take("negative", proj.shape, bool))
+        # a bool row sum into int32 takes half the time of count_nonzero's intp
+        differ += (negative[ia] != negative[ib]).sum(axis=1, dtype=np.int32)
+    return differ
+
+
+def _checked_draw(
     config: ExperimentConfig, directions: np.ndarray, c: int, m: int, work: _Workspace
 ):
-    """Block c of the ensemble with every trial checked against the directions.
-
-    Any trial whose axis is within ORTHO_TOL of orthogonality to one of
-    the distinct directions is redrawn from the block's own generator,
-    so the sign scores never see a zero.  Returns raw axes, their norms
-    and the signs directions @ raw.T < 0 of the checked projections,
-    every one at least ORTHO_TOL |raw| in magnitude (views into work),
-    then lam and r_a.
-    """
+    """Block c with every trial checked against the directions: a trial that
+    _failing flags is redrawn from the block's own generator, so the sign
+    scores never see a zero.  Returns raw axes, their norms (summed once,
+    as np.linalg.norm does; views into work), lam and r_a."""
     rng, raw, lam, r_a = _draw(config, c, m, work)
     squares = work.take("squares", (m, 3))
-    signs = work.take("signs", (len(directions), m), bool)
     norms = work.take("norms", (m,))
-    mins = work.take("mins", (m,))
-    slice_mins = work.take("slice_mins", (m,))
-
-    # the arithmetic of _check, written into the workspace _SLICE_ROWS
-    # directions at a time; the signs are taken before proj is overwritten
-    # by its magnitudes, and mins is the minimum over every slice
     np.multiply(raw, raw, out=squares)
     # add.reduce's own left-to-right order, without its cost on a length-3 axis
     np.add(squares[:, 0], squares[:, 1], out=norms)
     np.add(norms, squares[:, 2], out=norms)
     np.sqrt(norms, out=norms)
-    mins.fill(np.inf)
-    for lo in range(0, len(directions), _SLICE_ROWS):
-        rows = directions[lo : lo + _SLICE_ROWS]
-        proj = work.take("proj", (len(rows), m))
-        np.matmul(rows, raw.T, out=proj)
-        np.less(proj, 0, out=signs[lo : lo + _SLICE_ROWS])
-        np.abs(proj, out=proj)
-        np.minimum.reduce(proj, axis=0, out=slice_mins)
-        np.minimum(mins, slice_mins, out=mins)
-    bad = (norms < 1e-9) | (mins < ORTHO_TOL * norms)
 
     def recheck(bad):
-        projections, norms[bad], redo = _check(directions, raw[bad])
-        signs[:, bad] = projections < 0
-        return redo
+        norms[bad] = np.linalg.norm(raw[bad], axis=1)
+        return _failing(directions, raw[bad], work, norms[bad])
 
-    _redraw(rng, raw, bad, recheck)
-    return raw, norms, signs, lam, r_a
+    _redraw(rng, raw, _failing(directions, raw, work, norms), recheck)
+    return raw, norms, lam, r_a
 
 
 def simulate_ensemble(config: ExperimentConfig) -> TrialEnsemble:
     """Generate the trial ensemble for a validated config, block by block.
 
-    Each block's unit axes raw / norms of _draw_block, lam and r_a are
+    Each block's unit axes raw / norms of _checked_draw, lam and r_a are
     written into the ensemble's columns; the redraw check runs once per
     distinct direction (the default grid repeats z-hat in every pair).
     """
@@ -393,7 +399,7 @@ def simulate_ensemble(config: ExperimentConfig) -> TrialEnsemble:
 
     def write(c: int, m: int, work: _Workspace) -> int:
         lo, hi = c * BLOCK_TRIALS, c * BLOCK_TRIALS + m
-        raw, norms, _, lam[lo:hi], r_a[lo:hi] = _draw_block(config, directions, c, m, work)
+        raw, norms, lam[lo:hi], r_a[lo:hi] = _checked_draw(config, directions, c, m, work)
         np.divide(raw, norms[:, None], out=s[lo:hi])
         return 0
 
@@ -603,10 +609,6 @@ def spin_basis(lam: int):
     return basis
 
 
-# bits set in each byte value; np.bitwise_count needs numpy >= 2.0
-_POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.uint8)
-
-
 def _lam_sums(lam: np.ndarray) -> list:
     """The sums of lam and of lam * (-lam) over a block, as int64."""
     lam = lam.astype(np.int64)
@@ -616,12 +618,11 @@ def _lam_sums(lam: np.ndarray) -> list:
 def _block_counts(
     config: ExperimentConfig, directions, ia, ib, c: int, m: int, work: _Workspace
 ) -> np.ndarray:
-    """Integer counts of block c: per pair, the trials whose sign bits at a
-    and b differ; then the sums of lam and of lam * (-lam)."""
-    _, _, signs, lam, _ = _draw_block(config, directions, c, m, work)
-    packed = np.packbits(signs, axis=1)
-    differ = _POPCOUNT[packed[ia] ^ packed[ib]].sum(axis=1, dtype=np.int64)
-    return np.append(differ, _lam_sums(lam))
+    """Integer counts of block c: per pair, the trials whose signs at a and
+    b differ; then the sums of lam and of lam * (-lam).  The trials are
+    checked in one pass over the directions and counted in a second."""
+    raw, _, lam, _ = _checked_draw(config, directions, c, m, work)
+    return np.append(_differ(directions, ia, ib, raw, work), _lam_sums(lam))
 
 
 class _Plane(NamedTuple):
@@ -687,28 +688,16 @@ def _plane(directions: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> _Plane:
     return _Plane(directions, ia, ib, wrapped[order], turns[order], ends, gates, r * r)
 
 
-def _checks(directions: np.ndarray, vectors: np.ndarray):
-    """_check over vectors in chunks of trials, no chunk's projections
-    larger than _SLICE_ROWS x BLOCK_TRIALS."""
-    step = max(1, _SLICE_ROWS * BLOCK_TRIALS // len(directions))
-    for lo in range(0, len(vectors), step):
-        yield _check(directions, vectors[lo : lo + step])
-
-
-def _failing(directions: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """The redraw check's flags of vectors, from _checks."""
-    return np.concatenate([bad for _, _, bad in _checks(directions, vectors)])
-
-
 def _planar_counts(config: ExperimentConfig, plane: _Plane, c: int, m: int, work: _Workspace):
     """Integer counts of block c for a grid config, from sorted in-plane angles.
 
     Returns F at plane's keys, per pair the exact path's trials whose
     signs differ, then the lam sums; _Plane.counts turns their sum over
     blocks into _block_counts'.  Exact-path trials, within alpha of a
-    key or short in the plane, leave F and get _draw_block's check,
-    redraws and signs from projections.  Every other trial passes the
-    check unredrawn (_plane), so the counts are _block_counts'.
+    key or short in the plane, leave F and get _checked_draw's check
+    (_failing), redraws and counts (_differ) from projections.  Every
+    other trial passes the check unredrawn (_plane), so the counts are
+    _block_counts'.
     """
     rng, raw, lam, _ = _draw(config, c, m, work)
     squares = work.take("squares", (m, 3))
@@ -736,24 +725,21 @@ def _planar_counts(config: ExperimentConfig, plane: _Plane, c: int, m: int, work
         exact |= np.isin(phi, near)
     below = np.searchsorted(ordered, plane.keys) + plane.turns * m
 
-    differ = np.zeros(len(plane.ia), dtype=np.int64)
     rows = np.flatnonzero(exact)
     if rows.size:
         below -= np.searchsorted(np.sort(phi[rows]), plane.keys) + plane.turns * rows.size
         bad = work.take("bad", (m,), bool)
         bad.fill(False)
-        bad[rows] = _failing(plane.directions, raw[rows])
-        _redraw(rng, raw, bad, lambda bad: _failing(plane.directions, raw[bad]))
-        for projections, _, _ in _checks(plane.directions, raw[rows]):
-            signs = projections < 0
-            differ += np.count_nonzero(signs[plane.ia] != signs[plane.ib], axis=1)
+        bad[rows] = _failing(plane.directions, raw[rows], work)
+        _redraw(rng, raw, bad, lambda bad: _failing(plane.directions, raw[bad], work))
+    differ = _differ(plane.directions, plane.ia, plane.ib, raw[rows], work)
     return np.concatenate([below, differ, _lam_sums(lam)])
 
 
 def _curve_rows(pairs, counts: np.ndarray, n: int):
     """CorrelationResult per pair from the whole ensemble's summed counts.
 
-    No projection is zero, so sign(s.a) sign(-s.b) is +1 where the bits
+    No projection is zero, so sign(s.a) sign(-s.b) is +1 where the signs
     differ and -1 where they agree: S = 2 differ - n with all n nonzero.
     """
     *differ, lam_sum, lam_product_sum = counts.tolist()
@@ -844,16 +830,16 @@ def correlation_curve(config: ExperimentConfig, threads: int = 1):
     integer counts and the counts are added.  A grid config's blocks go
     through _planar_counts, which counts sorted in-plane angles; explicit
     pairs go through _block_counts, which projects every trial on every
-    distinct direction.  The blocks are split among
-    _worker_count(threads, blocks) workers, each with one _Workspace
-    reused by every block it reduces: about 1.25 MiB for a grid whatever
-    its number of directions, and k x 2^14 bytes of signs for the k
-    distinct directions of explicit pairs plus 2.1 MiB.  Integer sums do
-    not depend on how the blocks are grouped, so the rows are the same
-    bytes for any threads value and any worker count.  They equal
-    raw_correlation and standard_score_correlation on
-    simulate_ensemble(config) bit for bit, and the scalar product form is
-    computed once, from the whole ensemble's counts.
+    distinct direction, once to check and once to count.  The blocks are
+    split among _worker_count(threads, blocks) workers, each with one
+    _Workspace reused by every block it reduces: about 1.25 MiB for a
+    grid and about 2.1 MiB for explicit pairs, whatever the number of
+    directions.  Integer sums do not depend on how the blocks are
+    grouped, so the rows are the same bytes for any threads value and any
+    worker count.  They equal raw_correlation and
+    standard_score_correlation on simulate_ensemble(config) bit for bit,
+    and the scalar product form is computed once, from the whole
+    ensemble's counts.
     """
     config.validate()
     n = int(config.n_trials)

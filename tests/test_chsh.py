@@ -228,13 +228,13 @@ def test_one_estimator_pins_sign_zero_and_closed_form_stderr():
 
 def test_monte_carlo_ensemble_redraw_checks_the_table_anchor(monkeypatch):
     drawn = []
-    draw_block = spin._draw_block
+    checked_draw = spin._checked_draw
 
     def capture(config, directions, *args):
         drawn.append(directions)
-        return draw_block(config, directions, *args)
+        return checked_draw(config, directions, *args)
 
-    monkeypatch.setattr(spin, "_draw_block", capture)
+    monkeypatch.setattr(spin, "_checked_draw", capture)
     chsh.maximize_chsh("monte_carlo", chsh.OptimizerConfig(mc_trials=1000))
     # 1000 trials are one block, checked against x-hat alone
     (directions,) = drawn

@@ -472,6 +472,10 @@ def test_simulate_grid_over_the_row_cap_exits_one(tmp_path, capsys):
         ("simulate", {"seed": 1.9}),
         ("simulate", {"n_trials": True}),
         ("simulate", {"n_trials": "2000"}),
+        (
+            "simulate",
+            {"direction_pairs": {"start_deg": 0, "stop_deg": 10, "step_deg": 5, "stpe_deg": 1}},
+        ),
     ],
 )
 def test_malformed_input_file_exits_one(tmp_path, capsys, command, payload):

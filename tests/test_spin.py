@@ -602,18 +602,26 @@ def test_planar_block_counts_equal_projection_counts(
 def test_a_trial_near_a_boundary_takes_the_exact_path(monkeypatch):
     # found by search: at seed 40 one trial of the default grid's first block
     # lies within alpha of a boundary at the default tolerance
-    checked = []
-    checks = spin._checks
-
-    def recorded(directions, vectors):
-        checked.append(len(vectors))
-        return checks(directions, vectors)
-
-    monkeypatch.setattr(spin, "_checks", recorded)
     cfg = spin.ExperimentConfig(n_trials=spin.BLOCK_TRIALS, seed=40, lambda_mode="fair_coin")
     assert_planar_blocks_equal_projection_blocks(cfg)
-    # the check on the trial, then its signs; it is not redrawn
-    assert checked == [1, 1]
+    calls = []
+    failing, differ = spin._failing, spin._differ
+
+    def check(directions, vectors, *rest):
+        calls.append(("check", len(vectors)))
+        return failing(directions, vectors, *rest)
+
+    def count(directions, ia, ib, vectors, work):
+        calls.append(("count", len(vectors)))
+        return differ(directions, ia, ib, vectors, work)
+
+    # only the exact path's calls: _block_counts checks and counts every trial
+    monkeypatch.setattr(spin, "_failing", check)
+    monkeypatch.setattr(spin, "_differ", count)
+    directions, ia, ib = spin._pair_directions(cfg.validate().resolved_pairs())
+    spin._planar_counts(cfg, spin._plane(directions, ia, ib), 0, cfg.n_trials, spin._Workspace())
+    # the check on the trial, then its count; it is not redrawn
+    assert calls == [("check", 1), ("count", 1)]
 
 
 @pytest.mark.parametrize("name", ["fair_coin_grid", "balanced_pairs_uniform_r"])
@@ -713,15 +721,11 @@ def test_pooled_correlation_curve_reuses_its_pages():
     assert int(out.stdout) < 6_000
 
 
-def grid_curve_peak(step_deg, explicit):
+def curve_peak(direction_pairs):
     import tracemalloc
 
-    grid = {"start_deg": 0.0, "stop_deg": 180.0, "step_deg": step_deg}
     cfg = make_config(
-        n_trials=2 * spin.BLOCK_TRIALS,
-        lambda_mode="fair_coin",
-        # the same pairs as explicit vectors take the projection reducer
-        direction_pairs=spin.grid_pairs(**grid) if explicit else grid,
+        n_trials=2 * spin.BLOCK_TRIALS, lambda_mode="fair_coin", direction_pairs=direction_pairs
     )
     tracemalloc.start()
     try:
@@ -729,6 +733,12 @@ def grid_curve_peak(step_deg, explicit):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def grid_curve_peak(step_deg, explicit):
+    grid = {"start_deg": 0.0, "stop_deg": 180.0, "step_deg": step_deg}
+    # the same pairs as explicit vectors take the projection reducer
+    return curve_peak(spin.grid_pairs(**grid) if explicit else grid)
 
 
 def test_workspace_memory_grows_by_the_signs_per_direction():
@@ -748,6 +758,22 @@ def test_grid_curve_memory_does_not_grow_with_directions():
     fine, coarse = grid_curve_peak(0.05, explicit=False), grid_curve_peak(5.0, explicit=False)
     per_direction = (fine - coarse) / (3601 - 37)
     assert per_direction <= 2 * 1024
+
+
+def test_pair_curve_memory_does_not_grow_with_directions():
+    # the same pairs as explicit vectors: checked and counted in chunks of
+    # trials, with no per-direction signs kept for the whole block
+    fine, coarse = grid_curve_peak(0.05, explicit=True), grid_curve_peak(5.0, explicit=True)
+    per_direction = (fine - coarse) / (3601 - 37)
+    assert per_direction <= 2 * 1024
+
+
+def test_pair_curve_memory_does_not_grow_with_pairs():
+    # 10 distinct pairs over 11 directions, repeated: the counter gathers two
+    # sign rows per pair, so its chunks shrink as the pairs grow, where packed
+    # sign rows gathered per pair took 3 KiB per extra pair
+    pairs = spin.grid_pairs(0.0, 45.0, 5.0)
+    assert (curve_peak(pairs * 100) - curve_peak(pairs)) / (1000 - 10) <= 1024
 
 
 def curve_bytes(rows):
@@ -903,7 +929,7 @@ def test_draw_block_norms_equal_linalg_norm(scale, tol, monkeypatch):
     directions = spin._pair_directions(cfg.validate().resolved_pairs())[0]
     work = spin._Workspace()
     for c, lo, hi in spin._blocks(cfg.n_trials):
-        raw, norms = spin._draw_block(cfg, directions, c, hi - lo, work)[:2]
+        raw, norms = spin._checked_draw(cfg, directions, c, hi - lo, work)[:2]
         assert np.abs(np.log10(norms / scale)).max() < 2
         assert norms.tobytes() == np.linalg.norm(raw, axis=1).tobytes()
     # a tolerance this wide sends trials of every block through redraws
