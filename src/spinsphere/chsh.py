@@ -2,8 +2,8 @@
 
 The string E(a,b) + E(a,b') + E(a',b) - E(a',b') is evaluated for three
 correlators: the smooth cosine law, the quotient saw, and
-spin.raw_correlation on a fixed ensemble redraw-checked against x-hat,
-the setting a of every grid string; the closed forms take stacked
+spin.raw_correlation on a fixed ensemble redraw-checked against every
+direction of the grid; the closed forms take stacked
 directions, so _string evaluates one quadruple or many.  The maximizer
 has one stage: a coplanar 1-degree grid over a table of E between every
 two of the 360 directions _GRID, one correlator call for the closed
@@ -17,9 +17,10 @@ The Monte Carlo table holds exact integer sums of per-trial products,
 so every grid string it reports is the ensemble mean of per-trial
 strings and never exceeds the local bound of 2; the bound also forces
 the reported value, 2 for every ensemble.  The ensemble is streamed on
-spin's pool: each block gives 360 azimuth-bin counts and its edge
-trials' table, the table follows from arc sums, and memory does not
-grow with the trial count.
+spin's pool through the grid curve's counter, spin._planar_counts, on
+the xy-plane: each block gives sorted-angle counts at the boundaries of
+the 360 directions, once its rare trials near a boundary are checked
+against all of them, and memory does not grow with the trial count.
 
 The two stations' scores are kept in separate algebra copies: a string
 evaluation never multiplies an a-side element by a b-side element, so
@@ -58,7 +59,6 @@ __all__ = [
 TSIRELSON_BOUND = 2.0 * np.sqrt(2.0)
 GRID_STEP_DEG = 1.0  # coplanar grid and correlation table resolution
 _COUNT = int(round(360.0 / GRID_STEP_DEG))  # grid directions
-EDGE_TOL_DEG = 1e-9  # azimuths this close to a grid direction take the dot-product path
 TIE_MARGIN = 1e-12  # a grid string replaces the best only above best + TIE_MARGIN
 _GRID_ROWS = 20  # values of u per vectorized step of the grid max; bounds its temporaries
 # grid direction k: x-hat turned k grid steps about z-hat
@@ -214,90 +214,6 @@ class _Budget:
             raise OptimizerBudgetExceeded(f"exceeded {self.limit} budget units")
 
 
-def _azimuth_bins(s: np.ndarray):
-    """(bins, edge_counts) of unit axes s: azimuth-bin counts and the edge trials' table.
-
-    bins[k] counts the trials whose azimuth lies strictly inside bin k,
-    more than EDGE_TOL_DEG from every grid direction.  The others lie
-    within EDGE_TOL_DEG of a grid direction (s_x = s_y = 0 among them:
-    atan2 gives 0 or 180 degrees), about 2e-9 of a drawn ensemble's
-    trials.  Their sign rows E come from raw_correlation's own
-    per-direction dot products, which keep sign(0) = 0 and the rounding
-    of near-orthogonal s.d (a matrix product may round those
-    differently), and edge_counts = E.T @ E, or 0 without edge trials.
-    No array is compacted: the bins fold counts of every trial (DECISIONS.md).
-    """
-    azimuth = np.degrees(np.arctan2(s[:, 1], s[:, 0])) / GRID_STEP_DEG
-    edge = np.abs(azimuth - np.rint(azimuth)) * GRID_STEP_DEG <= EDGE_TOL_DEG
-    index = np.floor(azimuth).astype(np.intp) + _COUNT // 2
-    counts = np.bincount(index, minlength=_COUNT + 1)
-    counts -= np.bincount(index[edge], minlength=_COUNT + 1)
-    bins = np.roll(counts[:_COUNT], _COUNT // 2)
-    if not edge.any():
-        return bins, 0
-    signs = np.stack([np.sign(s[edge] @ d) for d in _GRID], axis=1).astype(np.int64)
-    return bins, signs.T @ signs
-
-
-def _table_from_bins(bins: np.ndarray, edge_counts) -> np.ndarray:
-    """C[i, j] = sum over trials of sign(s.d_i) sign(-s.d_j) from _azimuth_bins.
-
-    A trial in bin k is more than EDGE_TOL_DEG from orthogonal to every
-    d_i, so sign(s.d_i) = f(k, i) depends on k alone: +1 when k lies in
-    the half circle H_i = [i - q, i + q), else -1, with angles in grid
-    steps (360 to the turn, q = 90).  Summed over the bins,
-    sum_k bins[k] f(k, i) f(k, j) = N - 2 bins(H_i ^ H_j), N the binned
-    trials.  For d = (j - i) mod 360 <= 180 the symmetric difference is
-    the two arcs [i - q, i - q + d) and [i + q, i + q + d); for larger d,
-    i and j swap and d becomes 360 - d.  Each arc sum is a difference of
-    one prefix sum of the bins tiled twice, all in int64, so the table is
-    exact; edge_counts adds the edge trials.
-    """
-    quarter = _COUNT // 4
-    i, j = np.ogrid[:_COUNT, :_COUNT]
-    d = (j - i) % _COUNT
-    swap = d > _COUNT // 2
-    length = np.where(swap, _COUNT - d, d)
-    first = np.where(swap, j, i) - quarter
-    prefix = np.concatenate([[0], np.cumsum(np.tile(bins, 2))])
-
-    def arc(start):
-        start = start % _COUNT
-        return prefix[start + length] - prefix[start]
-
-    differ = arc(first) + arc(first + 2 * quarter)
-    return 2 * differ - bins.sum() - edge_counts
-
-
-def _planar_count_table(trials) -> np.ndarray:
-    """C[i, j] = sum over trials of sign(s.d_i) sign(-s.d_j), d_k = k grid steps.
-
-    C / n equals raw_correlation(trials, d_i, d_j)[0] bit for bit: the sum
-    is an exact integer (_table_from_bins).
-    """
-    return _table_from_bins(*_azimuth_bins(trials.s))
-
-
-def _block_tally(config: ExperimentConfig, directions, c: int, m: int, work) -> np.ndarray:
-    """Block c's _azimuth_bins of its unit axes raw / norms, as a pair that adds up."""
-    raw, norms, _, _ = spin._checked_draw(config, directions, c, m, work)
-    tally = np.empty(2, dtype=object)  # the pool's running sums add it element-wise
-    tally[0], tally[1] = _azimuth_bins(np.divide(raw, norms[:, None], out=raw))
-    return tally
-
-
-def _streamed_count_table(config: ExperimentConfig, threads: int = 1) -> np.ndarray:
-    """_planar_count_table(simulate_ensemble(config)) without the ensemble.
-
-    spin._reduce_blocks sums _block_tally over the blocks on up to threads
-    workers; the integer sums do not depend on the worker count, and
-    memory stays bounded whatever n_trials is.
-    """
-    directions = spin._pair_directions(config.resolved_pairs())[0]
-    n = int(config.n_trials)
-    return _table_from_bins(*spin._reduce_blocks(n, threads, _block_tally, config, directions))
-
-
 def _coplanar_grid_max(table: np.ndarray):
     """Best |CHSH| over the integer grid, a fixed at index 0.
 
@@ -338,10 +254,11 @@ def maximize_chsh(
     charged 360 budget units for the table row and 4 for the string
     they report at the grid argmax; cfg.seed is not read.  The
     Monte Carlo kind is charged one unit per table entry of an ensemble
-    seeded by cfg.seed and streamed block by block on cfg.threads workers
-    (_streamed_count_table), so the report is the same bytes for any
-    worker count.  Its value is forced by the local bound: the lowest
-    tied grid string has a = a' = x-hat, where every per-trial string is
+    seeded by cfg.seed, checked against all 360 grid directions and
+    streamed block by block on cfg.threads workers (spin._planar_counts),
+    so the report is the same bytes for any worker count.  Its value is
+    forced by the local bound: the lowest tied grid string has
+    a = a' = x-hat, where every per-trial string is
     2 sign(s.x) sign(-s.b) = +-2, and b = -x-hat makes all of them +2
     ((0, 0, 180, 0) at 1M trials on every seed tried), so neither the
     value, 2.0, nor the argmax depends on the ensemble.
@@ -353,9 +270,14 @@ def maximize_chsh(
 
     if correlation_kind == "monte_carlo":
         budget.spend(_COUNT * _COUNT)
-        x_hat = _GRID[0]  # a of every grid string; redraw-check it
-        draw = ExperimentConfig(cfg.mc_trials, cfg.seed, direction_pairs=[(x_hat, x_hat)])
-        table = _streamed_count_table(draw.validate(), cfg.threads)
+        # the draw's seed and modes fix the trials; the plane checks them against all of _GRID
+        draw = ExperimentConfig(cfg.mc_trials, cfg.seed).validate()
+        n = int(draw.n_trials)
+        index = np.arange(_COUNT)
+        plane = spin._plane(_GRID, (0, 1), index[:, None], index[None, :])
+        summed = spin._reduce_blocks(n, cfg.threads, spin._planar_counts, draw, plane)
+        # sign(s.d_i) sign(-s.d_j) is +1 where the signs differ and -1 where they agree
+        table = 2 * plane.counts(summed)[:-2].reshape(_COUNT, _COUNT) - n
     else:
         kinds = {"su2_cosine": su2_cosine_correlator, "so3_saw": so3_saw_correlator}
         correlator = kinds[correlation_kind]
@@ -370,7 +292,7 @@ def maximize_chsh(
     directions = tuple(_GRID[[0, u, v, w]])
 
     if correlation_kind == "monte_carlo":
-        value = grid_value / int(draw.n_trials)  # |sum of per-trial strings| <= 2 n
+        value = grid_value / n  # |sum of per-trial strings| <= 2 n
     else:
         budget.spend(4)
         value = abs(_string(correlator, *directions))

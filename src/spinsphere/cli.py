@@ -100,15 +100,10 @@ def _load_experiment_config(path, seed_override) -> spin.ExperimentConfig:
     unknown = set(payload) - known
     if unknown:
         raise InvalidConfig(f"unknown config fields {sorted(unknown)}")
-    for field in ("n_trials", "seed"):
-        value = payload.get(field, 0)  # a missing field is reported below
-        integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
-        if isinstance(value, bool) or not integral:
-            raise InvalidConfig(f"{field} must be an integer, got {value!r}")
     try:
         config = spin.ExperimentConfig(
-            n_trials=int(payload["n_trials"]),
-            seed=int(payload["seed"]) if seed_override is None else int(seed_override),
+            n_trials=payload["n_trials"],
+            seed=payload["seed"] if seed_override is None else seed_override,
             lambda_mode=payload.get("lambda_mode", "fair_coin"),
             alignment_mode=payload.get("alignment_mode", "unit"),
             direction_pairs=payload.get("direction_pairs"),

@@ -31,11 +31,13 @@ first use and reused by every block it reduces: a few trial columns
 and at most 8 x 2^14 float64 projections, whatever the number of
 directions.  Every consumer of the stream runs on _reduce_blocks with a
 reducer of its own, and every one draws through _draw and _redraw:
-correlation_curve's _planar_counts for a grid and _block_counts for
-explicit pairs, simulate_ensemble's copy of each block and chsh's
-azimuth-bin counts for the Monte Carlo table.  Every trial is checked by
-the one check, _failing, and every pair's differing signs are counted by
-the one counter, _differ, both over chunks of trials from _projections.
+_planar_counts for directions in one coordinate plane (a grid curve's
+xz-plane and chsh's Monte Carlo table in the xy-plane), _block_counts
+for explicit pairs and simulate_ensemble's copy of each block.  Every
+trial is checked by the one check, _failing, and explicit pairs'
+differing signs are counted by the one counter, _differ, both over
+chunks of trials from _projections; a plane counts its trials' sorted
+angles instead.
 """
 
 from __future__ import annotations
@@ -198,6 +200,15 @@ class ExperimentConfig:
         return pairs
 
     def validate(self) -> "ExperimentConfig":
+        """Refuse what the generator cannot run as given: n_trials and seed
+        must be integers or integral floats, never bools or strings."""
+        for field in ("n_trials", "seed"):
+            value = getattr(self, field)
+            integral = isinstance(value, (int, np.integer)) or (
+                isinstance(value, float) and value.is_integer()
+            )
+            if isinstance(value, bool) or not integral:
+                raise InvalidConfig(f"{field} must be an integer, got {value!r}")
         if int(self.n_trials) < 1:
             raise InvalidConfig("n_trials must be >= 1")
         if self.lambda_mode not in _LAMBDA_MODES:
@@ -611,8 +622,7 @@ def spin_basis(lam: int):
 
 def _lam_sums(lam: np.ndarray) -> list:
     """The sums of lam and of lam * (-lam) over a block, as int64."""
-    lam = lam.astype(np.int64)
-    return [lam.sum(), (lam * -lam).sum()]
+    return [lam.sum(dtype=np.int64), (lam * -lam).sum(dtype=np.int64)]
 
 
 def _block_counts(
@@ -626,42 +636,49 @@ def _block_counts(
 
 
 class _Plane(NamedTuple):
-    """A grid config's directions as boundary angles in the xz-plane.
+    """Directions that lie in one coordinate plane, as boundary angles there.
 
-    Every grid direction d is (sin t, 0, cos t) and a = z-hat, so raw.d > 0
-    exactly when the trial's angle phi = atan2(raw_x, raw_z) lies within
-    90 degrees of theta = atan2(d_x, d_z).  keys are the boundaries
-    theta -/+ pi/2, wrapped into [-pi, pi) by turns whole turns and
-    sorted; F(key), the trials below a key plus turns times all trials,
-    differs between two keys by the trials between their unwrapped
-    boundaries.  As theta_a = 0 and |theta_b| <= pi, the trials whose
-    signs differ lie between the lower and between the upper boundaries
-    of a and b: differ = |F(b_lo) - F(a_lo)| + |F(b_hi) - F(a_hi)|, with
-    ends the four rows of key indices.  gates bounds the angles within
-    alpha of a key, wrapped copies included; r2 is R^2 (_plane,
-    DECISIONS.md).
+    columns (u, v) span the plane, so raw.d > 0 exactly when the trial's
+    angle phi = atan2(raw_v, raw_u) lies within 90 degrees of
+    theta = atan2(d_v, d_u).  keys are the boundaries theta -/+ pi/2,
+    wrapped into [-pi, pi) by turns whole turns and sorted; F(key), the
+    trials below a key plus turns times all trials, differs between two
+    keys by the trials between their unwrapped boundaries, and moving a
+    boundary a whole turn moves F by all trials.
+    lower and upper are each direction's two key ranks.  The pairs are
+    the broadcast of the index arrays ia and ib: the trials whose signs
+    differ at a and b lie between the lower and between the upper
+    boundaries of a and b, once b's are moved a whole turn toward a's
+    where |theta_b - theta_a| > pi.  gates bounds the angles within alpha
+    of a key, wrapped copies included; r2 is R^2 (_plane, DECISIONS.md).
     """
 
     directions: np.ndarray
+    columns: tuple
     ia: np.ndarray
     ib: np.ndarray
+    theta: np.ndarray
     keys: np.ndarray
     turns: np.ndarray
-    ends: np.ndarray  # (4, pairs): a_lo, b_lo, a_hi, b_hi
+    lower: np.ndarray
+    upper: np.ndarray
     gates: np.ndarray  # (2, gates): lower and upper bounds
     r2: float
 
     def counts(self, summed: np.ndarray) -> np.ndarray:
-        """_block_counts' layout (differ per pair, then the lam sums) from
-        summed _planar_counts."""
-        keys, pairs = len(self.keys), len(self.ia)
-        a_lo, b_lo, a_hi, b_hi = summed[:keys][self.ends]
-        differ = np.abs(b_lo - a_lo) + np.abs(b_hi - a_hi) + summed[keys : keys + pairs]
-        return np.concatenate([differ, summed[keys + pairs :]])
+        """_block_counts' layout (differ per pair, in the broadcast's order,
+        then the lam sums) from summed _planar_counts."""
+        keys = len(self.keys)
+        below, counted = summed[:keys], summed[keys]
+        gap = self.theta[self.ib] - self.theta[self.ia]
+        turn = counted * ((gap > np.pi).astype(np.int64) - (gap < -np.pi))
+        lo, hi = below[self.lower], below[self.upper]
+        differ = np.abs(lo[self.ib] - lo[self.ia] - turn) + np.abs(hi[self.ib] - hi[self.ia] - turn)
+        return np.append(differ, summed[keys + 1 :])
 
 
-def _plane(directions: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> _Plane:
-    """_Plane of a grid config's distinct directions, gated for ORTHO_TOL now.
+def _plane(directions: np.ndarray, columns: tuple, ia, ib) -> _Plane:
+    """_Plane of directions in the plane of columns, gated for ORTHO_TOL now.
 
     A trial at least r |raw| long in the plane and farther than alpha
     from every boundary has |raw.d| >= r sin(alpha - 1e-13) |raw| >=
@@ -669,11 +686,16 @@ def _plane(directions: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> _Plane:
     passes it and phi gives its signs: 1e-13 covers the rounding of the
     angles, the rest that of the dot product and the norm.
     r = cbrt(ORTHO_TOL) keeps both gates rare at the default tolerance.
+    Every direction lies in the plane, so a trial the check passes has
+    |cos(phi - theta)| >= ORTHO_TOL - 4e-16 for each, which puts phi more
+    than 1e-13 from every boundary when ORTHO_TOL > 1.01e-13: phi gives
+    the signs of checked trials too.
     """
     tol = float(ORTHO_TOL)
     r = min(0.5, float(np.cbrt(tol + 1e-15)))
     alpha = 1e-13 + float(np.arcsin(min(1.0, (2.0 * tol + 2e-15) / r)))
-    theta = np.arctan2(directions[:, 0], directions[:, 2])
+    u, v = columns
+    theta = np.arctan2(directions[:, v], directions[:, u])
     lifted = np.concatenate([theta - np.pi / 2, theta + np.pi / 2])
     turns = (lifted >= np.pi).astype(np.int64) - (lifted < -np.pi)
     wrapped = lifted - 2 * np.pi * turns
@@ -683,29 +705,33 @@ def _plane(directions: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> _Plane:
     k = len(directions)
     near = np.sort(np.concatenate([wrapped - 2 * np.pi, wrapped, wrapped + 2 * np.pi]))
     near = near[np.abs(near) <= np.pi + alpha]
-    ends = np.stack([rank[ia], rank[ib], rank[k + ia], rank[k + ib]])
     gates = np.stack([near - alpha, near + alpha])
-    return _Plane(directions, ia, ib, wrapped[order], turns[order], ends, gates, r * r)
+    return _Plane(
+        directions, columns, ia, ib, theta, wrapped[order], turns[order], rank[:k], rank[k:],
+        gates, r * r,
+    )
 
 
 def _planar_counts(config: ExperimentConfig, plane: _Plane, c: int, m: int, work: _Workspace):
-    """Integer counts of block c for a grid config, from sorted in-plane angles.
+    """Integer counts of block c for directions in a plane, from sorted in-plane angles.
 
-    Returns F at plane's keys, per pair the exact path's trials whose
-    signs differ, then the lam sums; _Plane.counts turns their sum over
-    blocks into _block_counts'.  Exact-path trials, within alpha of a
-    key or short in the plane, leave F and get _checked_draw's check
-    (_failing), redraws and counts (_differ) from projections.  Every
-    other trial passes the check unredrawn (_plane), so the counts are
+    Returns F at plane's keys, the m trials F counts, then the lam sums;
+    _Plane.counts turns their sum over blocks into _block_counts'.
+    Exact-path trials, within alpha of a key or short in the plane, get
+    _checked_draw's check against every direction of the plane
+    (_failing) and its redraws; every other trial passes the check
+    unredrawn (_plane).  A checked trial's phi gives its signs (_plane),
+    so every trial is counted from its angle and the counts are
     _block_counts'.
     """
     rng, raw, lam, _ = _draw(config, c, m, work)
+    u, v = plane.columns
     squares = work.take("squares", (m, 3))
     inplane = work.take("inplane", (m,))
     gate = work.take("gate", (m,))
     exact = work.take("exact", (m,), bool)
     np.multiply(raw, raw, out=squares)
-    np.add(squares[:, 0], squares[:, 2], out=inplane)
+    np.add(squares[:, u], squares[:, v], out=inplane)
     np.add(squares[:, 0], squares[:, 1], out=gate)
     np.add(gate, squares[:, 2], out=gate)
     np.multiply(gate, plane.r2, out=gate)
@@ -714,7 +740,7 @@ def _planar_counts(config: ExperimentConfig, plane: _Plane, c: int, m: int, work
 
     phi = work.take("phi", (m,))
     ordered = work.take("ordered", (m,))
-    np.arctan2(raw[:, 0], raw[:, 2], out=phi)
+    np.arctan2(raw[:, v], raw[:, u], out=phi)
     np.copyto(ordered, phi)
     ordered.sort()
     lo = np.searchsorted(ordered, plane.gates[0])
@@ -723,17 +749,20 @@ def _planar_counts(config: ExperimentConfig, plane: _Plane, c: int, m: int, work
     if hit.size:
         near = np.concatenate([ordered[a:b] for a, b in zip(lo[hit], hi[hit])])
         exact |= np.isin(phi, near)
-    below = np.searchsorted(ordered, plane.keys) + plane.turns * m
 
     rows = np.flatnonzero(exact)
     if rows.size:
-        below -= np.searchsorted(np.sort(phi[rows]), plane.keys) + plane.turns * rows.size
         bad = work.take("bad", (m,), bool)
         bad.fill(False)
         bad[rows] = _failing(plane.directions, raw[rows], work)
-        _redraw(rng, raw, bad, lambda bad: _failing(plane.directions, raw[bad], work))
-    differ = _differ(plane.directions, plane.ia, plane.ib, raw[rows], work)
-    return np.concatenate([below, differ, _lam_sums(lam)])
+        redrawn = np.flatnonzero(bad)
+        if redrawn.size:
+            _redraw(rng, raw, bad, lambda bad: _failing(plane.directions, raw[bad], work))
+            phi[redrawn] = np.arctan2(raw[redrawn, v], raw[redrawn, u])
+            np.copyto(ordered, phi)
+            ordered.sort()
+    below = np.searchsorted(ordered, plane.keys) + plane.turns * m
+    return np.concatenate([below, [m], _lam_sums(lam)])
 
 
 def _curve_rows(pairs, counts: np.ndarray, n: int):
@@ -849,6 +878,6 @@ def correlation_curve(config: ExperimentConfig, threads: int = 1):
     if config._grid() is None:
         counts = _reduce_blocks(n, threads, _block_counts, config, directions, ia, ib)
     else:
-        plane = _plane(directions, ia, ib)
+        plane = _plane(directions, (2, 0), ia, ib)  # angles from z-hat toward x-hat
         counts = plane.counts(_reduce_blocks(n, threads, _planar_counts, config, plane))
     return _curve_rows(pairs, counts, n)

@@ -227,18 +227,19 @@ def test_one_estimator_pins_sign_zero_and_closed_form_stderr():
 
 
 def test_monte_carlo_ensemble_redraw_checks_the_table_anchor(monkeypatch):
-    drawn = []
-    checked_draw = spin._checked_draw
+    planes = []
+    planar_counts = spin._planar_counts
 
-    def capture(config, directions, *args):
-        drawn.append(directions)
-        return checked_draw(config, directions, *args)
+    def capture(config, plane, *args):
+        planes.append(plane)
+        return planar_counts(config, plane, *args)
 
-    monkeypatch.setattr(spin, "_checked_draw", capture)
+    monkeypatch.setattr(spin, "_planar_counts", capture)
     chsh.maximize_chsh("monte_carlo", chsh.OptimizerConfig(mc_trials=1000))
-    # 1000 trials are one block, checked against x-hat alone
-    (directions,) = drawn
-    assert np.array_equal(directions, [E1])
+    # 1000 trials are one block, checked against the 360 directions of the table
+    (plane,) = planes
+    assert plane.directions is chsh._GRID and plane.columns == (0, 1)
+    assert np.array_equal(plane.directions, [planar(k) for k in range(360)])
 
 
 @pytest.mark.parametrize("seed", [1, 5, 99, 2026])
@@ -260,79 +261,72 @@ def test_monte_carlo_search_rejects_empty_ensembles(mc_trials):
 
 @pytest.mark.parametrize("seed", [1, 2, 7, 11, 2026])
 def test_monte_carlo_search_never_exceeds_local_bound(seed):
-    # every per-trial string of +-1/0 outcomes lies in [-2, 2], so the mean does
+    # every per-trial string of +-1 outcomes lies in [-2, 2], so the mean does
     report = chsh.maximize_chsh("monte_carlo", chsh.OptimizerConfig(seed=seed))
     assert report.chsh_value <= 2.0
 
 
+def lattice_config(n, seed):
+    """A config listing the 360 grid directions, so simulate_ensemble checks
+    every trial against each direction of the Monte Carlo table."""
+    return spin.ExperimentConfig(n, seed, direction_pairs=[(d, d) for d in chsh._GRID])
+
+
+def monte_carlo_table(mc_trials, seed, threads=1):
+    """The count table the Monte Carlo search hands its grid max."""
+    tables = []
+    grid_max = chsh._coplanar_grid_max
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chsh, "_coplanar_grid_max", lambda t: tables.append(t) or grid_max(t))
+        cfg = chsh.OptimizerConfig(seed=seed, mc_trials=mc_trials, threads=threads)
+        chsh.maximize_chsh("monte_carlo", cfg)
+    (table,) = tables
+    assert table.dtype == np.int64 and table.shape == (360, 360)
+    return table
+
+
+def assert_table_is_the_sign_product(table, trials):
+    # the sums are exact in float64; no sign is 0, as every trial was checked
+    signs = np.sign(trials.s @ chsh._GRID.T)
+    assert np.all(signs != 0)
+    assert np.array_equal(table, -(signs.T @ signs))
+
+
+def assert_table_rows_are_the_estimator(table, trials):
+    # rows 10, 179 and 300 hold pairs across the cut at +-180 degrees, row 0 none
+    for i in (0, 10, 179, 300):
+        row = [spin.raw_correlation(trials, planar(i), planar(j))[0] for j in range(360)]
+        assert np.array_equal(table[i] / len(trials), row)
+
+
 def test_monte_carlo_count_table_matches_direct_estimator():
-    trials = spin.simulate_ensemble(
-        spin.ExperimentConfig(200_000, 31, direction_pairs=[(E1, E1)])
-    )
-    table = chsh._planar_count_table(trials)
+    table = monte_carlo_table(200_000, 31)
+    trials = spin.simulate_ensemble(lattice_config(200_000, 31))
     rng = np.random.default_rng(5)
     for i, j in rng.integers(0, 360, size=(24, 2)):
         assert table[i, j] / len(trials) == spin.raw_correlation(trials, planar(i), planar(j))[0]
-
-
-def test_monte_carlo_count_table_keeps_edge_signs():
-    # x-hat against d_90 = (6.1e-17, 1, 0) is +1, the pole z-hat scores 0 everywhere,
-    # and (1, 1, 0)/sqrt(2) sits on the 45-degree grid direction
-    generic = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
-    s = np.array([E1, E2, E3, np.array([1.0, 1.0, 0.0]) / SQRT2, generic])
-    trials = spin.TrialEnsemble(s=s, lam=np.ones(5, dtype=np.int8), r_a=np.ones(5))
-    table = chsh._planar_count_table(trials)
-    for i in (0, 45, 90, 270):
-        for j in range(360):
-            assert table[i, j] / 5 == spin.raw_correlation(trials, planar(i), planar(j))[0]
-
-
-def pattern_product_table(trials):
-    """The count table as one integer product of per-bin and per-edge-trial sign rows."""
-    s = trials.s
-    azimuth = np.degrees(np.arctan2(s[:, 1], s[:, 0]))
-    edge = np.abs(azimuth - np.rint(azimuth)) <= chsh.EDGE_TOL_DEG
-    bins = np.bincount(np.floor(azimuth[~edge]).astype(np.int64) % 360, minlength=360)
-    offset = (np.arange(360)[:, None] - np.arange(360)[None, :]) % 360
-    patterns = np.where((offset < 90) | (offset >= 270), 1, -1)
-    edge_rows = np.stack([np.sign(s[edge] @ planar(k)) for k in range(360)], axis=1)
-    rows = np.vstack([patterns, edge_rows.astype(np.int64)])
-    weights = np.concatenate([bins, np.ones(int(edge.sum()), dtype=np.int64)])
-    return -((rows.T * weights) @ rows)
-
-
-def test_arc_sum_table_equals_the_pattern_product():
-    rng = np.random.default_rng(3)
-    k = np.radians(rng.integers(0, 360, size=2000))
-    on_grid = np.stack([np.cos(k), np.sin(k), rng.normal(size=2000)], axis=1)
-    drawn = spin.simulate_ensemble(spin.ExperimentConfig(50_001, 4, direction_pairs=[(E1, E1)]))
-    # bins of every count from 0 up, and every edge kind: grid azimuths, poles
-    for s in (on_grid, drawn.s, np.vstack([drawn.s[:7], E3, -E3, E1, on_grid[:3]])):
-        trials = spin.TrialEnsemble(s=s, lam=np.ones(len(s), dtype=np.int8), r_a=np.ones(len(s)))
-        table = chsh._planar_count_table(trials)
-        assert table.dtype == np.int64
-        assert np.array_equal(table, pattern_product_table(trials))
 
 
 @pytest.mark.parametrize(
     "n", [1, 3, spin.BLOCK_TRIALS, spin.BLOCK_TRIALS + 7, 200_001]
 )
 def test_streamed_count_table_equals_the_materialized_table(n):
-    cfg = spin.ExperimentConfig(n, 13, direction_pairs=[(E1, E1)])
-    materialized = chsh._planar_count_table(spin.simulate_ensemble(cfg))
-    assert np.array_equal(chsh._streamed_count_table(cfg.validate()), materialized)
+    trials = spin.simulate_ensemble(lattice_config(n, 13))
+    assert_table_is_the_sign_product(monte_carlo_table(n, 13), trials)
 
 
 def test_streamed_count_table_through_redraws(monkeypatch):
-    cfg = spin.ExperimentConfig(2 * spin.BLOCK_TRIALS + 3, 21, direction_pairs=[(E1, E1)])
+    cfg = lattice_config(2 * spin.BLOCK_TRIALS + 3, 21)
     plain = spin.simulate_ensemble(cfg)
-    # a tolerance this wide redraws every trial with |s_x| < 0.05
-    monkeypatch.setattr(spin, "ORTHO_TOL", 0.05)
+    # redraws every trial within 0.005 of orthogonal to a grid direction; above
+    # sin(0.5 degrees) = 0.0087 no trial would pass and the redraws would never end
+    monkeypatch.setattr(spin, "ORTHO_TOL", 0.005)
     trials = spin.simulate_ensemble(cfg)
-    assert np.any(trials.s != plain.s, axis=1).mean() > 0.04
-    assert np.abs(trials.s[:, 0]).min() >= 0.05 - 1e-12
-    streamed = chsh._streamed_count_table(cfg.validate())
-    assert np.array_equal(streamed, chsh._planar_count_table(trials))
+    assert np.any(trials.s != plain.s, axis=1).mean() > 0.5
+    assert np.abs(trials.s @ chsh._GRID.T).min() >= 0.005 - 1e-12
+    table = monte_carlo_table(len(trials), 21)
+    assert_table_is_the_sign_product(table, trials)
+    assert_table_rows_are_the_estimator(table, trials)
 
 
 def test_monte_carlo_search_memory_does_not_grow_with_the_trials():
@@ -354,20 +348,6 @@ def test_monte_carlo_search_charges_one_evaluation_per_table_entry():
         chsh.maximize_chsh("monte_carlo", chsh.OptimizerConfig(budget=360**2 - 1, mc_trials=1000))
     report = chsh.maximize_chsh("monte_carlo", chsh.OptimizerConfig(budget=360**2, mc_trials=1000))
     assert report.chsh_value <= 2.0
-
-
-def test_monte_carlo_count_table_rounds_grid_azimuths_like_the_estimator():
-    # s on integer-degree azimuths: s.d is near 0 at 90 degrees away, and its
-    # rounded sign must be the one raw_correlation's dot product gives
-    rng = np.random.default_rng(9)
-    k = np.radians(rng.integers(0, 360, size=2000))
-    s = np.stack([np.cos(k), np.sin(k), rng.normal(size=2000)], axis=1)
-    s *= rng.uniform(0.1, 3.0, size=(2000, 1))
-    trials = spin.TrialEnsemble(s=s, lam=np.ones(2000, dtype=np.int8), r_a=np.ones(2000))
-    table = chsh._planar_count_table(trials)
-    for i in rng.integers(0, 360, size=12):
-        row = [spin.raw_correlation(trials, planar(i), planar(j))[0] for j in range(360)]
-        assert np.array_equal(table[i] / 2000, row)
 
 
 CLOSED_FORMS = [
@@ -479,17 +459,15 @@ def test_grid_max_matches_the_per_u_loop_on_circulant_views(monkeypatch, kind):
 
 @pytest.mark.parametrize("seed", [1, 7, 2026])
 def test_grid_max_matches_the_per_u_loop_on_count_tables(seed):
-    cfg = spin.ExperimentConfig(1_000_000, seed, direction_pairs=[(E1, E1)]).validate()
-    table = chsh._streamed_count_table(cfg)
-    assert table.dtype == np.int64
-    assert_grid_max_matches_the_per_u_loop(table)
+    assert_grid_max_matches_the_per_u_loop(monte_carlo_table(1_000_000, seed))
 
 
 def test_grid_max_matches_the_per_u_loop_on_tied_tables():
     rng = np.random.default_rng(16)
     for trial in range(200):
-        # sizes below, at and past a multiple of the 45-row step
-        n = int(rng.choice([1, 2, 44, 45, 46, 91, 180, 360]))
+        # sizes below, at and past one and two steps of _GRID_ROWS rows, and the old 45
+        step = chsh._GRID_ROWS
+        n = int(rng.choice([1, 2, step - 1, step, step + 1, 2 * step, 44, 45, 46, 91, 180, 360]))
         table = rng.integers(-2, 3, size=(n, n))  # exact ties everywhere
         if trial % 3 == 1:
             table = table.astype(float)
@@ -500,30 +478,31 @@ def test_grid_max_matches_the_per_u_loop_on_tied_tables():
         assert_grid_max_matches_the_per_u_loop(table)
 
 
-@pytest.mark.parametrize(
-    "ortho_tol, edge_tol_deg",
-    # plain blocks; redraw-heavy blocks; a few edge trials in every block, so
-    # the workers add edge tables of their own
-    [(spin.ORTHO_TOL, chsh.EDGE_TOL_DEG), (0.05, chsh.EDGE_TOL_DEG), (spin.ORTHO_TOL, 1e-4)],
-)
-def test_pooled_count_table_is_the_same_for_any_worker_count(monkeypatch, ortho_tol, edge_tol_deg):
+# exact-path trials: none at the default tolerance, some in every full block
+# at 1e-8, and every trial at 0.005, which also redraws most of them
+EXACT_BLOCKS = {spin.ORTHO_TOL: set(), 1e-8: set(range(5)), 0.005: set(range(6))}
+
+
+@pytest.mark.parametrize("ortho_tol", sorted(EXACT_BLOCKS))
+def test_pooled_count_table_is_the_same_for_any_worker_count(monkeypatch, ortho_tol):
     # five full blocks and a short one
-    cfg = spin.ExperimentConfig(5 * spin.BLOCK_TRIALS + 3, 19, direction_pairs=[(E1, E1)])
-    cfg.validate()
+    n = 5 * spin.BLOCK_TRIALS + 3
     monkeypatch.setattr(spin, "ORTHO_TOL", ortho_tol)
-    monkeypatch.setattr(chsh, "EDGE_TOL_DEG", edge_tol_deg)
     monkeypatch.setattr(spin, "_usable_cpus", lambda: 8)
-    original = chsh._block_tally
-    ran, edged = {}, set()
+    original, failing = spin._planar_counts, spin._failing
+    ran, exact, block = {}, set(), threading.local()
 
-    def recorded(config, directions, c, m, work):
+    def recorded(config, plane, c, m, work):
         ran[c] = threading.current_thread()
-        tally = original(config, directions, c, m, work)
-        if np.ndim(tally[1]) == 2:
-            edged.add(c)
-        return tally
+        block.c = c
+        return original(config, plane, c, m, work)
 
-    monkeypatch.setattr(chsh, "_block_tally", recorded)
+    def checked(*args):
+        exact.add(block.c)
+        return failing(*args)
+
+    monkeypatch.setattr(spin, "_planar_counts", recorded)
+    monkeypatch.setattr(spin, "_failing", checked)
     tables = {}
     interval = sys.getswitchinterval()
     # frequent thread switches, with more workers than a 2-core host has cores
@@ -531,32 +510,33 @@ def test_pooled_count_table_is_the_same_for_any_worker_count(monkeypatch, ortho_
     try:
         for threads in (1, 2, 3):
             ran.clear()
-            tables[threads] = chsh._streamed_count_table(cfg, threads)
+            tables[threads] = monte_carlo_table(n, 19, threads)
             # every block once, on as many threads as workers, in strides
             assert sorted(ran) == list(range(6))
             assert len(set(ran.values())) == threads
             assert all(ran[c] is ran[c % threads] for c in ran)
     finally:
         sys.setswitchinterval(interval)
-    # about 3 edge trials in each full block at 1e-4 degrees, none in the drawn ensemble at 1e-9
-    assert edged == (set(range(5)) if edge_tol_deg == 1e-4 else set())
-    assert tables[1].dtype == np.int64
+    assert exact == EXACT_BLOCKS[ortho_tol]
     assert tables[1].tobytes() == tables[2].tobytes() == tables[3].tobytes()
-    assert np.array_equal(tables[1], chsh._planar_count_table(spin.simulate_ensemble(cfg)))
+    monkeypatch.setattr(spin, "_failing", failing)
+    trials = spin.simulate_ensemble(lattice_config(n, 19))
+    assert_table_is_the_sign_product(tables[1], trials)
+    assert_table_rows_are_the_estimator(tables[1], trials)
 
 
 def test_a_failing_chsh_reducer_raises_in_the_caller(monkeypatch):
     monkeypatch.setattr(spin, "_usable_cpus", lambda: 2)
-    original = chsh._block_tally
+    original = spin._planar_counts
     failed = []
 
-    def failing(config, directions, c, m, work):
+    def failing(config, plane, c, m, work):
         if c == 3:
             failed.append(threading.current_thread())
             raise MemoryError("block 3")
-        return original(config, directions, c, m, work)
+        return original(config, plane, c, m, work)
 
-    monkeypatch.setattr(chsh, "_block_tally", failing)
+    monkeypatch.setattr(spin, "_planar_counts", failing)
     before = threading.active_count()
     cfg = chsh.OptimizerConfig(mc_trials=8 * spin.BLOCK_TRIALS, threads=2)
     # block 3 is the second block of worker 1, a thread of its own

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinsphere import algebra, geometry, spin
+from spinsphere import algebra, chsh, geometry, spin
 from spinsphere.errors import (
     DomainError,
     InvalidConfig,
@@ -105,6 +105,42 @@ def test_config_validation():
         make_config(n_trials=5).validate()  # balanced needs even n
     with pytest.raises(InvalidConfig):
         make_config(direction_pairs=[(E1, 2 * E2)]).validate()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_trials", 20000.7),
+        ("seed", 1.9),
+        ("n_trials", True),
+        ("seed", False),
+        ("n_trials", "50"),
+        ("seed", "1"),
+        ("n_trials", np.nan),
+        ("seed", None),
+    ],
+)
+def test_config_refuses_non_integral_trials_and_seeds(field, value):
+    # int() would truncate them: 20000.7 would run 20,000 trials, seed 1.9 seed 1
+    # and True one trial
+    cfg = spin.ExperimentConfig(**{"n_trials": 20000, "seed": 1, field: value})
+    with pytest.raises(InvalidConfig, match=f"{field} must be an integer"):
+        cfg.validate()
+    with pytest.raises(InvalidConfig):
+        spin.correlation_curve(cfg)
+
+
+@pytest.mark.parametrize("mc_trials, seed", [(1000.5, 3), (1000, 3.7), (True, 3), ("1000", 3)])
+def test_monte_carlo_search_refuses_non_integral_trials_and_seeds(mc_trials, seed):
+    with pytest.raises(InvalidConfig, match="must be an integer"):
+        chsh.maximize_chsh("monte_carlo", chsh.OptimizerConfig(mc_trials=mc_trials, seed=seed))
+
+
+def test_config_takes_integral_floats_and_numpy_integers():
+    want = spin.simulate_ensemble(make_config(n_trials=1000, seed=42))
+    for n_trials, seed in [(1000.0, 42.0), (np.int64(1000), np.int32(42)), (1000, np.uint64(42))]:
+        got = spin.simulate_ensemble(make_config(n_trials=n_trials, seed=seed))
+        assert got.s.tobytes() == want.s.tobytes() and got.lam.tobytes() == want.lam.tobytes()
 
 
 @pytest.mark.parametrize("pair", [([np.nan, 0.0, 0.0], E3), (E3, [0.0, np.nan, 1.0])])
@@ -555,7 +591,7 @@ def test_streamed_curve_through_redraws(name, monkeypatch):
 def assert_planar_blocks_equal_projection_blocks(cfg):
     cfg.validate()
     directions, ia, ib = spin._pair_directions(cfg.resolved_pairs())
-    plane = spin._plane(directions, ia, ib)
+    plane = spin._plane(directions, (2, 0), ia, ib)
     for c, lo, hi in spin._blocks(cfg.n_trials):
         projected = spin._block_counts(cfg, directions, ia, ib, c, hi - lo, spin._Workspace())
         planar = plane.counts(spin._planar_counts(cfg, plane, c, hi - lo, spin._Workspace()))
@@ -619,9 +655,10 @@ def test_a_trial_near_a_boundary_takes_the_exact_path(monkeypatch):
     monkeypatch.setattr(spin, "_failing", check)
     monkeypatch.setattr(spin, "_differ", count)
     directions, ia, ib = spin._pair_directions(cfg.validate().resolved_pairs())
-    spin._planar_counts(cfg, spin._plane(directions, ia, ib), 0, cfg.n_trials, spin._Workspace())
-    # the check on the trial, then its count; it is not redrawn
-    assert calls == [("check", 1), ("count", 1)]
+    plane = spin._plane(directions, (2, 0), ia, ib)
+    spin._planar_counts(cfg, plane, 0, cfg.n_trials, spin._Workspace())
+    # the check on the trial; it is not redrawn, and its checked angle counts it
+    assert calls == [("check", 1)]
 
 
 @pytest.mark.parametrize("name", ["fair_coin_grid", "balanced_pairs_uniform_r"])
@@ -635,7 +672,7 @@ def test_block_sums_in_reversed_order_give_the_same_bytes(name):
     if cfg._grid() is None:
         reduce, args, layout = spin._block_counts, (directions, ia, ib), lambda summed: summed
     else:
-        plane = spin._plane(directions, ia, ib)
+        plane = spin._plane(directions, (2, 0), ia, ib)
         reduce, args, layout = spin._planar_counts, (plane,), plane.counts
     counts = [reduce(cfg, *args, c, hi - lo, spin._Workspace()) for c, lo, hi in blocks]
     backward = spin._curve_rows(pairs, layout(sum(reversed(counts))), cfg.n_trials)
