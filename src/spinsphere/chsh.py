@@ -205,7 +205,7 @@ class _Budget:
     single pair, an entry of a batched call or an entry of a count table."""
 
     def __init__(self, limit: int):
-        self.limit = int(limit)
+        self.limit = spin._integer("budget", limit, 1)
         self.spent = 0
 
     def spend(self, k: int = 1):

@@ -30,14 +30,14 @@ whatever n_trials is: per worker, one workspace of buffers allocated on
 first use and reused by every block it reduces: a few trial columns
 and at most 8 x 2^14 float64 projections, whatever the number of
 directions.  Every consumer of the stream runs on _reduce_blocks with a
-reducer of its own, and every one draws through _draw and _redraw:
-_planar_counts for directions in one coordinate plane (a grid curve's
-xz-plane and chsh's Monte Carlo table in the xy-plane), _block_counts
-for explicit pairs and simulate_ensemble's copy of each block.  Every
-trial is checked by the one check, _failing, and explicit pairs'
-differing signs are counted by the one counter, _differ, both over
-chunks of trials from _projections; a plane counts its trials' sorted
-angles instead.
+reducer of its own, and every one draws through _draw and the one
+redraw step, _check: _planar_counts for directions in one coordinate
+plane (a grid curve's xz-plane and chsh's Monte Carlo table in the
+xy-plane), _block_counts for explicit pairs and simulate_ensemble's
+copy of each block.  Every trial is checked by the one check, _failing,
+and explicit pairs' differing signs are counted by the one counter,
+_differ, both over chunks of trials from _projections; a plane counts
+its trials' sorted angles instead.
 """
 
 from __future__ import annotations
@@ -136,6 +136,20 @@ def grid_pairs(start_deg: float, stop_deg: float, step_deg: float):
     return [(a, row) for row in b]
 
 
+def _integer(name: str, value, minimum=None) -> int:
+    """value as an int: an int, a numpy integer or an integral float, never a
+    bool or a str (int() would truncate 2.7 and read True as 1), and at
+    least minimum when one is given; InvalidConfig otherwise."""
+    integral = isinstance(value, (int, np.integer)) or (
+        isinstance(value, float) and value.is_integer()
+    )
+    if isinstance(value, bool) or not integral:
+        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise InvalidConfig(f"{name} must be >= {minimum}")
+    return int(value)
+
+
 @dataclass
 class ExperimentConfig:
     """Generation parameters for one ensemble.
@@ -201,16 +215,9 @@ class ExperimentConfig:
 
     def validate(self) -> "ExperimentConfig":
         """Refuse what the generator cannot run as given: n_trials and seed
-        must be integers or integral floats, never bools or strings."""
-        for field in ("n_trials", "seed"):
-            value = getattr(self, field)
-            integral = isinstance(value, (int, np.integer)) or (
-                isinstance(value, float) and value.is_integer()
-            )
-            if isinstance(value, bool) or not integral:
-                raise InvalidConfig(f"{field} must be an integer, got {value!r}")
-        if int(self.n_trials) < 1:
-            raise InvalidConfig("n_trials must be >= 1")
+        must be integers (_integer), n_trials at least 1."""
+        _integer("n_trials", self.n_trials, 1)
+        _integer("seed", self.seed)
         if self.lambda_mode not in _LAMBDA_MODES:
             raise InvalidConfig(f"unknown lambda_mode {self.lambda_mode!r}")
         if self.alignment_mode not in _ALIGNMENT_MODES:
@@ -307,9 +314,9 @@ def _draw(config: ExperimentConfig, c: int, m: int, work: _Workspace):
     """Block c up to its redraws: m trials from Philox(key=seed, counter=[0, 0, 0, c]).
 
     The stream's order is axes, orientations, radii, then redraws: this
-    draws the first three and returns the generator for _redraw, with
-    the raw axes (three standard normals each, a view into work; the
-    direction is exactly isotropic), lam and r_a.
+    draws the first three and returns the generator for _check's
+    redraws, with the raw axes (three standard normals each, a view into
+    work; the direction is exactly isotropic), lam and r_a.
     """
     rng = np.random.Generator(np.random.Philox(key=int(config.seed), counter=[0, 0, 0, c]))
     raw = work.take("raw", (m, 3))
@@ -318,25 +325,13 @@ def _draw(config: ExperimentConfig, c: int, m: int, work: _Workspace):
     if config.lambda_mode == "balanced_exact":
         lam = rng.permutation(np.repeat(np.array([1, -1], dtype=np.int8), m // 2))
     else:
-        lam = (rng.integers(0, 2, size=m, dtype=np.int8) * 2 - 1).astype(np.int8)
+        lam = rng.integers(0, 2, size=m, dtype=np.int8) * 2 - 1
 
     if config.alignment_mode == "uniform_r":
         r_a = rng.uniform(0.0, 1.0, size=m)
     else:
         r_a = np.ones(m)
     return rng, raw, lam, r_a
-
-
-def _redraw(rng, raw: np.ndarray, bad: np.ndarray, recheck) -> None:
-    """The stream's last step: redraw raw[bad] from rng until no trial fails.
-
-    recheck(bad) checks the redrawn raw[bad] and returns the flags of
-    those that fail again; every round draws the failing trials in
-    trial order.
-    """
-    while bad.any():
-        raw[bad] = rng.standard_normal((int(bad.sum()), 3))
-        bad[bad] = recheck(bad)
 
 
 def _projections(directions: np.ndarray, vectors: np.ndarray, work: _Workspace, rows: int = 0):
@@ -361,6 +356,28 @@ def _failing(directions: np.ndarray, vectors: np.ndarray, work: _Workspace, norm
     return (norms < 1e-9) | (mins < ORTHO_TOL * norms)
 
 
+def _check(rng, raw: np.ndarray, rows, directions, work: _Workspace, norms=None):
+    """The stream's last step: redraws the trials of raw[rows] (rows a slice
+    or indices) that _failing flags, against norms if given, from rng in
+    trial order, round by round until none fails; returns their indices."""
+    redrawn = bad = np.arange(len(raw))[rows][_failing(directions, raw[rows], work, norms)]
+    while bad.size:
+        raw[bad] = rng.standard_normal((len(bad), 3))
+        bad = bad[_failing(directions, raw[bad], work)]
+    return redrawn
+
+
+def _squares(raw: np.ndarray, work: _Workspace):
+    """raw squared and its row sums, in add.reduce's own left-to-right
+    order without its cost on a length-3 axis; views into work."""
+    squares = work.take("squares", raw.shape)
+    sums = work.take("sums", (len(raw),))
+    np.multiply(raw, raw, out=squares)
+    np.add(squares[:, 0], squares[:, 1], out=sums)
+    np.add(sums, squares[:, 2], out=sums)
+    return squares, sums
+
+
 def _differ(directions, ia, ib, vectors: np.ndarray, work: _Workspace) -> np.ndarray:
     """Per pair, the checked vectors whose signs at directions[ia] and
     directions[ib] differ, as int64."""
@@ -376,23 +393,14 @@ def _checked_draw(
     config: ExperimentConfig, directions: np.ndarray, c: int, m: int, work: _Workspace
 ):
     """Block c with every trial checked against the directions: a trial that
-    _failing flags is redrawn from the block's own generator, so the sign
-    scores never see a zero.  Returns raw axes, their norms (summed once,
-    as np.linalg.norm does; views into work), lam and r_a."""
+    _failing flags is redrawn from the block's own generator (_check), so
+    the sign scores never see a zero.  Returns raw axes, their norms
+    (np.linalg.norm's bytes; views into work), lam and r_a."""
     rng, raw, lam, r_a = _draw(config, c, m, work)
-    squares = work.take("squares", (m, 3))
-    norms = work.take("norms", (m,))
-    np.multiply(raw, raw, out=squares)
-    # add.reduce's own left-to-right order, without its cost on a length-3 axis
-    np.add(squares[:, 0], squares[:, 1], out=norms)
-    np.add(norms, squares[:, 2], out=norms)
+    norms = _squares(raw, work)[1]
     np.sqrt(norms, out=norms)
-
-    def recheck(bad):
-        norms[bad] = np.linalg.norm(raw[bad], axis=1)
-        return _failing(directions, raw[bad], work, norms[bad])
-
-    _redraw(rng, raw, _failing(directions, raw, work, norms), recheck)
+    redrawn = _check(rng, raw, slice(None), directions, work, norms)
+    norms[redrawn] = np.linalg.norm(raw[redrawn], axis=1)
     return raw, norms, lam, r_a
 
 
@@ -718,22 +726,17 @@ def _planar_counts(config: ExperimentConfig, plane: _Plane, c: int, m: int, work
     Returns F at plane's keys, the m trials F counts, then the lam sums;
     _Plane.counts turns their sum over blocks into _block_counts'.
     Exact-path trials, within alpha of a key or short in the plane, get
-    _checked_draw's check against every direction of the plane
-    (_failing) and its redraws; every other trial passes the check
-    unredrawn (_plane).  A checked trial's phi gives its signs (_plane),
-    so every trial is counted from its angle and the counts are
-    _block_counts'.
+    _checked_draw's redraw step, _check, against every direction of the
+    plane; every other trial passes the check unredrawn (_plane).
+    A checked trial's phi gives its signs (_plane), so every trial is
+    counted from its angle and the counts are _block_counts'.
     """
     rng, raw, lam, _ = _draw(config, c, m, work)
     u, v = plane.columns
-    squares = work.take("squares", (m, 3))
+    squares, gate = _squares(raw, work)
     inplane = work.take("inplane", (m,))
-    gate = work.take("gate", (m,))
     exact = work.take("exact", (m,), bool)
-    np.multiply(raw, raw, out=squares)
     np.add(squares[:, u], squares[:, v], out=inplane)
-    np.add(squares[:, 0], squares[:, 1], out=gate)
-    np.add(gate, squares[:, 2], out=gate)
     np.multiply(gate, plane.r2, out=gate)
     np.add(gate, 2e-18, out=gate)
     np.less(inplane, gate, out=exact)
@@ -751,16 +754,11 @@ def _planar_counts(config: ExperimentConfig, plane: _Plane, c: int, m: int, work
         exact |= np.isin(phi, near)
 
     rows = np.flatnonzero(exact)
-    if rows.size:
-        bad = work.take("bad", (m,), bool)
-        bad.fill(False)
-        bad[rows] = _failing(plane.directions, raw[rows], work)
-        redrawn = np.flatnonzero(bad)
-        if redrawn.size:
-            _redraw(rng, raw, bad, lambda bad: _failing(plane.directions, raw[bad], work))
-            phi[redrawn] = np.arctan2(raw[redrawn, v], raw[redrawn, u])
-            np.copyto(ordered, phi)
-            ordered.sort()
+    redrawn = _check(rng, raw, rows, plane.directions, work) if rows.size else rows
+    if redrawn.size:
+        phi[redrawn] = np.arctan2(raw[redrawn, v], raw[redrawn, u])
+        np.copyto(ordered, phi)
+        ordered.sort()
     below = np.searchsorted(ordered, plane.keys) + plane.turns * m
     return np.concatenate([below, [m], _lam_sums(lam)])
 
@@ -804,8 +802,8 @@ def _usable_cpus() -> int:
 
 
 def _worker_count(threads: int, n_blocks: int) -> int:
-    """Workers for n_blocks blocks: threads, at most one per block and per usable CPU."""
-    return max(1, min(int(threads), n_blocks, _usable_cpus()))
+    """Workers for n_blocks blocks: threads (>= 1), at most one per block and per usable CPU."""
+    return min(_integer("threads", threads, 1), n_blocks, _usable_cpus())
 
 
 def _reduce_blocks(n: int, threads: int, reducer, *args):

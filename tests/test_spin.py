@@ -136,6 +136,38 @@ def test_monte_carlo_search_refuses_non_integral_trials_and_seeds(mc_trials, see
         chsh.maximize_chsh("monte_carlo", chsh.OptimizerConfig(mc_trials=mc_trials, seed=seed))
 
 
+@pytest.mark.parametrize("threads", [2.7, "2", True, 0, -3, None])
+def test_correlation_curve_refuses_non_integral_or_nonpositive_threads(threads):
+    # int() made 2.7 and "2" two workers, and True, 0 and -3 one, silently
+    cfg = make_config(n_trials=1000)
+    with pytest.raises(InvalidConfig, match="threads must be"):
+        spin.correlation_curve(cfg, threads=threads)
+
+
+@pytest.mark.parametrize("budget", [363.9, "400", True, 0, None])
+def test_search_refuses_non_integral_or_nonpositive_budgets(budget):
+    # int() read 363.9 as 363 units, "400" as 400 and True as 1
+    with pytest.raises(InvalidConfig, match="budget must be"):
+        chsh.maximize_chsh("su2_cosine", chsh.OptimizerConfig(budget=budget))
+
+
+@pytest.mark.parametrize("threads", [2.7, 0])
+def test_monte_carlo_search_refuses_non_integral_or_nonpositive_threads(threads):
+    cfg = chsh.OptimizerConfig(mc_trials=1000, threads=threads)
+    with pytest.raises(InvalidConfig, match="threads must be"):
+        chsh.maximize_chsh("monte_carlo", cfg)
+
+
+def test_threads_and_budget_take_integral_floats_and_numpy_integers():
+    cfg = make_config(n_trials=2 * spin.BLOCK_TRIALS + 4)
+    want = curve_bytes(spin.correlation_curve(cfg, threads=2))
+    for threads in (2.0, np.int64(2), np.uint8(2)):
+        assert curve_bytes(spin.correlation_curve(cfg, threads=threads)) == want
+    for budget in (364.0, np.int32(364)):
+        report = chsh.maximize_chsh("su2_cosine", chsh.OptimizerConfig(budget=budget))
+        assert report.chsh_value == pytest.approx(chsh.TSIRELSON_BOUND)
+
+
 def test_config_takes_integral_floats_and_numpy_integers():
     want = spin.simulate_ensemble(make_config(n_trials=1000, seed=42))
     for n_trials, seed in [(1000.0, 42.0), (np.int64(1000), np.int32(42)), (1000, np.uint64(42))]:
@@ -758,6 +790,30 @@ def test_pooled_correlation_curve_reuses_its_pages():
     assert int(out.stdout) < 6_000
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_minflt counts minor faults on Linux")
+def test_pooled_pair_curve_reuses_its_pages():
+    # the explicit-pairs twin: explicit pairs take _checked_draw and the
+    # projection counter, which the grid's two tests never reach
+    code = (
+        "import resource; import numpy as np; from spinsphere import spin; "
+        "e = np.eye(3); g = np.array([[1, 2, 3], [-2, 1, 1], [3, -1, 2], [1, 1, -4], "
+        "[-1, 3, 1], [2, 2, 1]], float); g /= np.linalg.norm(g, axis=1)[:, None]; "
+        "pairs = [(e[2], e[0]), (e[0], e[1]), (g[0], g[1]), (g[2], g[3]), (g[4], g[5])]; "
+        "cfg = spin.ExperimentConfig(n_trials=1_000_000, seed=2026, direction_pairs=pairs); "
+        "spin.correlation_curve(cfg, threads=2); "
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt; "
+        "spin.correlation_curve(cfg, threads=2); "
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)"
+    )
+    src = str(Path(spin.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert int(out.stdout) < 6_000
+
+
 def curve_peak(direction_pairs):
     import tracemalloc
 
@@ -783,15 +839,15 @@ def test_workspace_memory_grows_by_the_signs_per_direction():
         return grid_curve_peak(step_deg, explicit=True)
 
     # k = 37 distinct directions against k = 361; the float64 projections
-    # (128 KiB per direction unsliced) no longer grow with k, the 16 KiB
-    # of bool signs per direction still do
+    # (128 KiB per direction unsliced) and the bool signs are both taken in
+    # chunks of at most 8 x 2^14 entries, so neither grows with k
     per_direction = (peak(0.5) - peak(5.0)) / (361 - 37)
     assert per_direction <= 32 * 1024
 
 
 def test_grid_curve_memory_does_not_grow_with_directions():
     # k = 37 distinct directions against k = 3,601: the planar reducer keeps
-    # no per-direction signs, where the projection reducer keeps 16 KiB each
+    # no per-direction signs or projections, only a few trial columns
     fine, coarse = grid_curve_peak(0.05, explicit=False), grid_curve_peak(5.0, explicit=False)
     per_direction = (fine - coarse) / (3601 - 37)
     assert per_direction <= 2 * 1024
