@@ -1,11 +1,13 @@
 """Numerics for spin correlations on the 3-sphere.
 
-Subpackages cover the Cl(3,0) even algebra (algebra), SU(2)/SO(3)
-geodesic distances (geometry), moving frames with their Weitzenboeck
-connection (frames), an independent quadrature oracle for the sign
-model (oracle), the Monte Carlo correlation experiment (spin), and the
-CHSH bound search (chsh).  The cli module exposes all of it as the
-``spinsphere`` command.
+Modules cover the Cl(3,0) algebra (algebra), the SU(2)/SO(3) geodesic
+distance laws (geometry), moving frames with their torsion (frames), an
+independent quadrature oracle for the sign model (oracle), the Monte
+Carlo correlation experiment and the sign flip of its rotor under a 2pi
+rotation (spin), and the CHSH bound search (chsh).  The cli module
+exposes them as the ``spinsphere`` command.  README's "Library use"
+lists, with their modules, the public names that compute a quantity of
+the paper beyond those re-exported here.
 """
 
 from .algebra import (
@@ -34,7 +36,6 @@ from .chsh import (
 from .frames import (
     TangentFrame,
     curvature_tensor,
-    frame_transport,
     tangent_frame,
     torsion_bivector_so3,
     torsion_bivector_su2,
@@ -42,10 +43,7 @@ from .frames import (
     weitzenbock_connection,
 )
 from .geometry import (
-    DistanceSample,
-    SO3Metric,
     embed_round,
-    quotient_project,
     rotor_angle,
     so3_distance,
     so3_distance_rotors,
@@ -71,10 +69,8 @@ __all__ = [
     "BoundReport",
     "ChshConfig",
     "CorrelationResult",
-    "DistanceSample",
     "ExperimentConfig",
     "OptimizerConfig",
-    "SO3Metric",
     "TSIRELSON_BOUND",
     "TangentFrame",
     "bivector_axis",
@@ -84,12 +80,10 @@ __all__ = [
     "correlation_curve",
     "curvature_tensor",
     "embed_round",
-    "frame_transport",
     "geometric_product",
     "maximize_chsh",
     "oriented_product",
     "quaternion_std_dev",
-    "quotient_project",
     "raw_correlation",
     "reverse",
     "rotate_bivector",

@@ -29,8 +29,6 @@ __all__ = [
     "reverse",
     "grade",
     "scalar_part",
-    "vector_embed",
-    "vector_part",
     "bivector_embed",
     "bivector_axis",
     "even_embed",
@@ -41,8 +39,6 @@ __all__ = [
     "rotor_log",
     "rotor_sqrt",
     "rotate_bivector",
-    "to_text",
-    "from_text",
 ]
 
 BLADE_NAMES = ("1", "e1", "e2", "e3", "e23", "e31", "e12", "e123")
@@ -150,17 +146,6 @@ def scalar_part(x) -> float:
     return float(x[0])
 
 
-def vector_embed(v):
-    """3-vector -> grade-1 multivector."""
-    out = np.zeros(8)
-    out[1:4] = v
-    return out
-
-
-def vector_part(x):
-    return np.array(x[1:4], float)
-
-
 def bivector_embed(a):
     """Axis 3-vector a -> bivector a1 e23 + a2 e31 + a3 e12.
 
@@ -260,15 +245,3 @@ def rotate_bivector(q, b):
     if not is_unit_rotor(q):
         raise NonUnitRotor("rotate_bivector needs a unit rotor")
     return geometric_product(geometric_product(q, b), reverse(q))
-
-
-def to_text(x) -> str:
-    """Serialize as 8 comma-separated decimals (round-trip exact)."""
-    return ",".join(repr(float(c)) for c in x)
-
-
-def from_text(s: str):
-    fields = s.split(",")
-    if len(fields) != 8:
-        raise ValueError("expected 8 comma-separated components")
-    return np.array([float(f) for f in fields])

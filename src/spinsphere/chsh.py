@@ -250,9 +250,10 @@ def maximize_chsh(
 ) -> BoundReport:
     """Search for the largest |CHSH| under the named correlator, on the coplanar grid.
 
-    Deterministic given the optimizer config.  The closed forms are
-    charged 360 budget units for the table row and 4 for the string
-    they report at the grid argmax; cfg.seed is not read.  The
+    Deterministic given the optimizer config, whose fields must be
+    integers (spin._integer), all but seed at least 1, whatever the
+    kind.  The closed forms read only the budget: 360 units for the
+    table row and 4 for the string they report at the grid argmax.  The
     Monte Carlo kind is charged one unit per table entry of an ensemble
     seeded by cfg.seed, checked against all 360 grid directions and
     streamed block by block on cfg.threads workers (spin._planar_counts),
@@ -267,6 +268,8 @@ def maximize_chsh(
         raise InvalidConfig(f"unknown correlation_kind {correlation_kind!r}")
     cfg = optimizer_config or OptimizerConfig()
     budget = _Budget(cfg.budget)
+    for name, minimum in (("seed", None), ("mc_trials", 1), ("threads", 1)):
+        spin._integer(name, getattr(cfg, name), minimum)
 
     if correlation_kind == "monte_carlo":
         budget.spend(_COUNT * _COUNT)

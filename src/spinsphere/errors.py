@@ -21,10 +21,6 @@ class DomainError(SpinsphereError):
     """Scalar argument outside the documented domain."""
 
 
-class SingularMatrix(SpinsphereError):
-    """Matrix is singular below the orientation tolerance."""
-
-
 class ChartDegeneracy(SpinsphereError):
     """Chart point too close to a coordinate degeneracy collar."""
 
@@ -52,10 +48,6 @@ class NonConvergentSequence(SpinsphereError):
         super().__init__(message)
         self.value = value
         self.is_scalar = is_scalar
-
-
-class ZeroDispersion(SpinsphereError):
-    """Density requested with zero dispersion."""
 
 
 class OptimizerBudgetExceeded(SpinsphereError):

@@ -31,8 +31,6 @@ __all__ = [
     "ConnectionCoefficients",
     "TorsionTensor",
     "tangent_frame",
-    "frame_transport",
-    "flat_metric",
     "weitzenbock_connection",
     "covariant_constancy_residual",
     "curvature_tensor",
@@ -107,34 +105,6 @@ def tangent_frame(q) -> TangentFrame:
     """
     w = _even_coeffs(q)
     return TangentFrame(rows=_LEFT_BIVECTOR @ w, base=w)
-
-
-def frame_transport(frame: TangentFrame, p) -> TangentFrame:
-    """Right-translate a frame by the unit rotor p.
-
-    Each row, read as an even element, is multiplied by p on the right;
-    the base moves from q to q p.  Transporting the identity frame to p
-    reproduces tangent_frame(p), and consecutive transports compose, so
-    transport between two fixed points is path independent.
-    """
-    p8 = algebra.even_embed(_even_coeffs(p))
-    moved = np.stack(
-        [
-            algebra.even_part(
-                algebra.geometric_product(algebra.even_embed(row), p8)
-            )
-            for row in frame.rows
-        ]
-    )
-    base = algebra.even_part(
-        algebra.geometric_product(algebra.even_embed(frame.base), p8)
-    )
-    return TangentFrame(rows=moved, base=base)
-
-
-def flat_metric(frame: TangentFrame) -> np.ndarray:
-    """Gram matrix of the frame rows; identity for a valid frame."""
-    return frame.rows @ frame.rows.T
 
 
 # five-point stencil offsets in units of h: (3 axes, 4 taps, 3 coordinates)

@@ -1,42 +1,34 @@
 """Round 3-sphere charts and the SU(2) / SO(3) geodesic distance laws.
 
 The central objects are the unit 4-vector chart point Y(chi, theta, phi),
-its relabeling as an even rotor, and the two distance functions of the
-half-rotation angle eta: the smooth cosine law on SU(2) = S3 and the
-piecewise-linear saw obtained after identifying antipodal rotors
-(SO(3) = RP3).  The two laws agree only at eta in {0, pi/2, pi, 3pi/2,
-2pi} and differ by about 0.207 near eta = pi/4.  Every caller evaluates
-the laws here, on whole arrays: they, dot and separation_angle work
-elementwise (vectors along the last axis), a Python float for one value.
+which algebra.even_embed relabels as an even rotor, and the two distance
+functions of the half-rotation angle eta: the smooth cosine law on
+SU(2) = S3 and the piecewise-linear saw obtained after identifying
+antipodal rotors (SO(3) = RP3).  The two laws agree only at eta in
+{0, pi/2, pi, 3pi/2, 2pi} and differ by about 0.207 near eta = pi/4.
+Every caller evaluates the laws here, on whole arrays: they, dot and
+separation_angle work elementwise (vectors along the last axis), a
+Python float for one value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .algebra import even_embed, even_part
-from .errors import DomainError, SingularMatrix
+from .algebra import even_part
+from .errors import DomainError
 
 __all__ = [
     "embed_round",
     "frw_line_element",
     "frw_line_element_radial",
-    "round_to_flat",
-    "flat_to_round",
     "rotor_angle",
     "dot",
     "separation_angle",
     "su2_distance",
     "so3_distance",
     "so3_distance_rotors",
-    "quotient_project",
-    "so3_exp_parameter",
     "so3_sin_alpha",
-    "basis_orientation",
-    "SO3Metric",
-    "DistanceSample",
 ]
 
 
@@ -66,16 +58,6 @@ def frw_line_element_radial(r, theta, phi, dr, dtheta, dphi) -> float:
     return float(
         dr**2 / (1.0 - r**2) + r**2 * (dtheta**2 + np.sin(theta) ** 2 * dphi**2)
     )
-
-
-def round_to_flat(Y) -> np.ndarray:
-    """Relabel a unit 4-vector as the even rotor Y0 + Y1 e23 + Y2 e31 + Y3 e12."""
-    return even_embed(np.asarray(Y, float))
-
-
-def flat_to_round(q) -> np.ndarray:
-    """Inverse relabeling: even rotor components back to the 4-vector."""
-    return even_part(q)
 
 
 def rotor_angle(qa, qb) -> float:
@@ -127,14 +109,6 @@ def so3_distance(eta):
     return _float_or_array(np.where(eta <= np.pi, slope - 1.0, 3.0 - slope))
 
 
-quotient_project = so3_distance  # the distance after antipodal identification
-
-
-def so3_exp_parameter(psi: float) -> float:
-    """Exponential-map parameter t(psi) on [0, 4pi]: -1 + psi/pi, then 3 - psi/pi."""
-    return so3_distance(_check_eta(psi, 4.0 * np.pi) / 2.0)
-
-
 def so3_distance_rotors(qa, qb) -> float:
     """Saw distance from the relative rotor qa * reverse(qb).
 
@@ -161,60 +135,3 @@ def so3_sin_alpha(eta: float) -> float:
     if eta <= np.pi / 2:
         return 2.0 * eta / np.pi
     return 2.0 - 2.0 * eta / np.pi
-
-
-def basis_orientation(omega) -> int:
-    """Orientation class of an ordered 4x4 basis matrix: sign of det."""
-    det = float(np.linalg.det(np.asarray(omega, float)))
-    if not abs(det) >= 1e-12:
-        raise SingularMatrix("basis matrix is singular")
-    return 1 if det > 0 else -1
-
-
-class SO3Metric:
-    """Inner product induced on the rotation group by the quotient map.
-
-    A pure function object: it carries no state.  Between two unit
-    rotors at half-rotation angle eta it returns the saw law (the
-    non-Euclidean -cos alpha), which coincides with the smooth SU(2)
-    value -cos eta exactly at eta in {0, pi/2, pi, 3pi/2, 2pi}.
-    """
-
-    def from_angle(self, eta: float) -> float:
-        return so3_distance(eta)
-
-    def __call__(self, qa, qb) -> float:
-        return so3_distance_rotors(qa, qb)
-
-    def induced_product(self, a, b) -> np.ndarray:
-        """Product of two quotient-frame elements with unit axes a, b.
-
-        Returns the multivector -cos(alpha) - sin(alpha) * biv(c) with
-        both trig factors replaced by their piecewise quotient laws and
-        c the unit normal of (a, b).  The scalar (symmetric) part is the
-        induced inner product; the bivector part carries the torsion.
-        """
-        eta = separation_angle(a, b)
-        out = np.zeros(8)
-        out[0] = so3_distance(eta)
-        cross = np.cross(np.asarray(a, float), np.asarray(b, float))
-        n = np.linalg.norm(cross)
-        if n > 1e-12:
-            out[4:7] = -so3_sin_alpha(eta) * cross / n
-        return out
-
-
-@dataclass
-class DistanceSample:
-    """One row of the distance-comparison curve."""
-
-    eta: float
-    su2: float
-    so3: float
-
-    @classmethod
-    def at(cls, eta: float) -> "DistanceSample":
-        return cls(eta=eta, su2=su2_distance(eta), so3=so3_distance(eta))
-
-    def csv_row(self) -> str:
-        return f"{self.eta:.17g},{self.su2:.17g},{self.so3:.17g}"

@@ -47,28 +47,20 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from . import algebra
-from .errors import (
-    DomainError,
-    InvalidConfig,
-    NonConvergentSequence,
-    TooFewTrials,
-    ZeroDispersion,
-)
+from .errors import DomainError, InvalidConfig, NonConvergentSequence, TooFewTrials
 from .geometry import separation_angle, so3_distance, su2_distance
 
 __all__ = [
     "ExperimentConfig",
-    "TrialRecord",
     "TrialEnsemble",
     "CorrelationResult",
     "LimitReport",
     "simulate_ensemble",
-    "raw_score_pair",
     "raw_correlation",
     "measurement_A",
     "measurement_B",
@@ -80,8 +72,6 @@ __all__ = [
     "scalar_product_correlation",
     "quaternion_std_dev",
     "measurement_limit",
-    "gaussian_density_s3",
-    "propagate_error",
     "spin_basis",
     "correlation_curve",
     "grid_degrees",
@@ -228,17 +218,9 @@ class ExperimentConfig:
         return self
 
 
-@dataclass
-class TrialRecord:
-    """One explosion: spin axis of the +s fragment, orientation, alignment."""
-
-    s: np.ndarray
-    lam: int
-    r_a: float = 1.0
-
-
 class TrialEnsemble:
-    """Column store of trials; indexing and iteration yield TrialRecord."""
+    """Column store of trials: unit spin axes s (n, 3), orientations lam
+    (n,) of +-1 and alignment radii r_a (n,); len() is the trial count."""
 
     def __init__(self, s: np.ndarray, lam: np.ndarray, r_a: np.ndarray):
         self.s = s
@@ -247,13 +229,6 @@ class TrialEnsemble:
 
     def __len__(self) -> int:
         return self.s.shape[0]
-
-    def __getitem__(self, k: int) -> TrialRecord:
-        return TrialRecord(s=self.s[k], lam=int(self.lam[k]), r_a=float(self.r_a[k]))
-
-    def __iter__(self) -> Iterator[TrialRecord]:
-        for k in range(len(self)):
-            yield self[k]
 
 
 @dataclass
@@ -426,13 +401,6 @@ def simulate_ensemble(config: ExperimentConfig) -> TrialEnsemble:
     return TrialEnsemble(s=s, lam=lam, r_a=r_a)
 
 
-def raw_score_pair(trial: TrialRecord, a, b):
-    """The two +-1 outcomes (sign(s.a), sign(-s.b)) for one trial."""
-    sa = float(np.dot(trial.s, a))
-    sb = float(np.dot(trial.s, b))
-    return int(np.sign(sa)), int(np.sign(-sb))
-
-
 def _require_trials(n: int, minimum: int) -> None:
     if n < minimum:
         raise TooFewTrials(f"need at least {minimum} trials, got {n}")
@@ -587,28 +555,6 @@ def measurement_limit(psi_sequence, a, lam: int) -> LimitReport:
     limit = np.zeros(8)
     limit[0] = lam * (-1.0) ** nearest
     return LimitReport(value=limit, deviation=float(np.linalg.norm(last - limit)))
-
-
-def gaussian_density_s3(q, mean, sigma) -> float:
-    """Gaussian density over rotor space in the 4-component chart."""
-    spread = algebra.norm(sigma)
-    if spread == 0.0:
-        raise ZeroDispersion("sigma must have nonzero norm")
-    dist2 = float(np.sum((np.asarray(q, float) - np.asarray(mean, float)) ** 2))
-    return float(
-        np.exp(-dist2 / (2.0 * spread**2)) / np.sqrt(2.0 * np.pi * spread**2)
-    )
-
-
-def propagate_error(m_S, sigma_S: float, detector):
-    """First-order push of (mean, dispersion) through a detector bivector.
-
-    m_A is the scalar part of detector * m_S; sigma_A is the bivector
-    detector * sigma_S (sign convention as in the principal root).
-    """
-    m_A = algebra.scalar_part(algebra.geometric_product(detector, m_S))
-    sigma_A = np.asarray(detector, float) * float(sigma_S)
-    return m_A, sigma_A
 
 
 def spin_basis(lam: int):

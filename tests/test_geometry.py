@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from spinsphere import algebra, chsh, geometry
-from spinsphere.errors import DomainError, SingularMatrix
+from spinsphere import algebra, chsh, frames, geometry
+from spinsphere.errors import DomainError
 
 RNG = np.random.Generator(np.random.Philox(key=2))
 
@@ -66,9 +66,9 @@ def test_radial_chart_agrees_with_hyperspherical():
 
 def test_relabeling_round_trip():
     Y = geometry.embed_round(1.0, 1.2, 0.8)
-    q = geometry.round_to_flat(Y)
+    q = algebra.even_embed(Y)
     assert algebra.is_unit_rotor(q)
-    assert np.array_equal(geometry.flat_to_round(q), Y)
+    assert np.array_equal(algebra.even_part(q), Y)
 
 
 def test_rotor_angle_blind_to_sign():
@@ -102,27 +102,12 @@ def test_so3_distance_saw():
         geometry.so3_distance(2 * np.pi + 1e-9)
 
 
-def test_quotient_project_is_the_saw():
-    for eta in np.linspace(0, 2 * np.pi, 41):
-        assert geometry.quotient_project(eta) == geometry.so3_distance(eta)
-
-
 def test_curves_agree_only_at_multiples_of_quarter_turn():
     for eta in AGREEMENT_ETAS:
         assert abs(geometry.su2_distance(eta) - geometry.so3_distance(eta)) < 1e-12
     gap = geometry.su2_distance(np.pi / 4) - geometry.so3_distance(np.pi / 4)
     assert np.isclose(gap, -(np.sqrt(2) / 2 - 0.5), atol=1e-12)
     assert np.isclose(abs(gap), 0.2071, atol=5e-5)
-
-
-def test_so3_exp_parameter_branches():
-    assert geometry.so3_exp_parameter(0.0) == -1.0
-    assert geometry.so3_exp_parameter(np.pi) == 0.0
-    assert geometry.so3_exp_parameter(2 * np.pi) == 1.0
-    assert geometry.so3_exp_parameter(3 * np.pi) == 0.0
-    assert geometry.so3_exp_parameter(4 * np.pi) == -1.0
-    with pytest.raises(DomainError):
-        geometry.so3_exp_parameter(4 * np.pi + 0.1)
 
 
 def test_rotor_distance_matches_saw_of_half_angle():
@@ -168,43 +153,26 @@ def test_so3_sin_alpha_branches():
         geometry.so3_sin_alpha(2.0 * np.pi)
 
 
-def test_basis_orientation_sign_and_singularity():
-    assert geometry.basis_orientation(np.eye(4)) == 1
-    flipped = np.diag([1.0, 1.0, 1.0, -1.0])
-    assert geometry.basis_orientation(flipped) == -1
-    with pytest.raises(SingularMatrix):
-        geometry.basis_orientation(np.zeros((4, 4)))
-
-
 def test_so3_metric_agreement_angles():
-    metric = geometry.SO3Metric()
     identity = algebra.even_embed([1, 0, 0, 0])
     for eta in AGREEMENT_ETAS:
-        assert abs(metric.from_angle(eta) - geometry.su2_distance(eta)) < 1e-12
+        assert abs(geometry.so3_distance(eta) - geometry.su2_distance(eta)) < 1e-12
         q = algebra.rotor_exp(algebra.bivector_embed([0, 0, 1]), eta % (2 * np.pi))
-        assert abs(metric(identity, q) - metric.from_angle(eta)) < 1e-12
+        got = geometry.so3_distance_rotors(identity, q)
+        assert abs(got - geometry.so3_distance(eta)) < 1e-12
 
 
 def test_so3_metric_induced_product():
-    metric = geometry.SO3Metric()
+    # the quotient product of unit axes a, b is -cos(alpha) - sin(alpha) biv(c)
+    # with both factors piecewise: the saw at their angle, minus the so3 torsion
     a = np.array([1.0, 0.0, 0.0])
     b = np.array([np.cos(np.pi / 4), np.sin(np.pi / 4), 0.0])
-    out = metric.induced_product(a, b)
-    assert out[0] == geometry.so3_distance(np.pi / 4)
+    eta = geometry.separation_angle(a, b)
+    assert geometry.so3_distance(eta) == geometry.so3_distance(np.pi / 4)
+    out = -frames.torsion_bivector_so3(a, b)
     assert np.allclose(algebra.bivector_axis(out), [0, 0, -0.5], atol=1e-12)
     # parallel axes: no bivector part
-    same = metric.induced_product(a, a)
-    assert np.array_equal(algebra.bivector_axis(same), [0, 0, 0])
-
-
-def test_distance_sample_row_format():
-    row = geometry.DistanceSample.at(np.pi / 4).csv_row()
-    eta, su2, so3 = row.split(",")
-    assert float(eta) == np.pi / 4
-    assert float(su2) == geometry.su2_distance(np.pi / 4)
-    assert float(so3) == -0.5
-    # 17 significant digits round-trip the doubles exactly
-    assert float(eta) == np.pi / 4
+    assert np.array_equal(frames.torsion_bivector_so3(a, a), np.zeros(8))
 
 
 def test_separation_angle_clips_rounded_dot_products():
@@ -218,7 +186,7 @@ def test_saw_laws_share_so3_distance_bitwise():
     for psi in np.linspace(0.0, 4 * np.pi, 20_001):
         psi = float(psi)
         saw = -1.0 + psi / np.pi if psi <= 2 * np.pi else 3.0 - psi / np.pi
-        assert geometry.so3_exp_parameter(psi) == geometry.so3_distance(psi / 2) == saw
+        assert geometry.so3_distance(psi / 2) == saw
     for _ in range(2_000):
         qa, qb = random_rotor(), random_rotor()
         wa, wb = algebra.even_part(qa), algebra.even_part(qb)
@@ -279,8 +247,3 @@ def test_batched_laws_name_the_first_angle_outside_the_domain(law):
 def test_radial_line_element_rejects_nan():
     with pytest.raises(DomainError):
         geometry.frw_line_element_radial(np.nan, 0.5, 0.0, 1.0, 0.0, 0.0)
-
-
-def test_basis_orientation_rejects_nan():
-    with np.errstate(invalid="ignore"), pytest.raises(SingularMatrix):
-        geometry.basis_orientation(np.full((4, 4), np.nan))

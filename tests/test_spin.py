@@ -12,13 +12,7 @@ import numpy as np
 import pytest
 
 from spinsphere import algebra, chsh, geometry, spin
-from spinsphere.errors import (
-    DomainError,
-    InvalidConfig,
-    NonConvergentSequence,
-    TooFewTrials,
-    ZeroDispersion,
-)
+from spinsphere.errors import DomainError, InvalidConfig, NonConvergentSequence, TooFewTrials
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -151,6 +145,17 @@ def test_search_refuses_non_integral_or_nonpositive_budgets(budget):
         chsh.maximize_chsh("su2_cosine", chsh.OptimizerConfig(budget=budget))
 
 
+@pytest.mark.parametrize("kind", ["su2_cosine", "so3_saw"])
+@pytest.mark.parametrize(
+    "field, value",
+    [("threads", 2.7), ("threads", 0), ("seed", "x"), ("seed", 3.7), ("mc_trials", -5)],
+)
+def test_closed_form_search_refuses_non_integral_or_nonpositive_fields(kind, field, value):
+    # the closed forms read none of these fields, and returned 2 sqrt(2) for any value
+    with pytest.raises(InvalidConfig, match=f"{field} must be"):
+        chsh.maximize_chsh(kind, chsh.OptimizerConfig(**{field: value}))
+
+
 @pytest.mark.parametrize("threads", [2.7, 0])
 def test_monte_carlo_search_refuses_non_integral_or_nonpositive_threads(threads):
     cfg = chsh.OptimizerConfig(mc_trials=1000, threads=threads)
@@ -231,21 +236,6 @@ def test_uniform_r_mode():
     )
     assert 0.45 < trials.r_a.mean() < 0.55
     assert trials.r_a.min() >= 0.0 and trials.r_a.max() <= 1.0
-
-
-def test_trial_record_view():
-    trials = spin.simulate_ensemble(make_config(n_trials=4))
-    rec = trials[2]
-    assert isinstance(rec, spin.TrialRecord)
-    assert rec.lam in (-1, 1)
-    assert rec.r_a == 1.0
-    assert len(list(trials)) == 4
-
-
-def test_raw_score_pair_examples():
-    trial = spin.TrialRecord(s=E3, lam=1)
-    assert spin.raw_score_pair(trial, E3, E3) == (1, -1)
-    assert spin.raw_score_pair(trial, E3, -E3) == (1, 1)
 
 
 def test_raw_correlation_equal_settings():
@@ -450,33 +440,6 @@ def test_measurement_limit_rejects_half_turn():
     assert exc.value.is_scalar is False
     # at psi = pi the rotor is the pure bivector L(a, lam)
     assert np.abs(exc.value.value - algebra.bivector_embed(E3)).max() < 1e-15
-
-
-def test_gaussian_density_shape():
-    mean = algebra.even_embed([1, 0, 0, 0])
-    sigma = algebra.bivector_embed(E3)
-    peak = spin.gaussian_density_s3(mean, mean, sigma)
-    assert np.isclose(peak, 1.0 / np.sqrt(2 * np.pi))
-    q = mean.copy()
-    q[4] += algebra.norm(sigma)
-    assert np.isclose(spin.gaussian_density_s3(q, mean, sigma), peak * np.exp(-0.5))
-    q2 = mean.copy()
-    q2[4] += 2 * algebra.norm(sigma)
-    ratio = spin.gaussian_density_s3(q2, mean, sigma) / peak
-    assert np.isclose(ratio, np.exp(-2.0))
-    with pytest.raises(ZeroDispersion):
-        spin.gaussian_density_s3(q, mean, np.zeros(8))
-
-
-def test_propagate_error_examples():
-    d = algebra.bivector_embed(E3)
-    m_A, sigma_A = spin.propagate_error(np.zeros(8), 1.0, d)
-    assert m_A == 0.0
-    assert np.array_equal(sigma_A, d)
-    _, sigma_zero = spin.propagate_error(np.zeros(8), 0.0, d)
-    assert np.abs(sigma_zero).max() == 0.0
-    m_A, _ = spin.propagate_error(0.5 * d, 1.0, d)
-    assert m_A == -0.5
 
 
 def test_spin_basis_closure_both_orientations():
@@ -812,6 +775,52 @@ def test_pooled_pair_curve_reuses_its_pages():
         env=env, capture_output=True, text=True, check=True, timeout=120,
     )
     assert int(out.stdout) < 6_000
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "consumer, tol",
+    [
+        ("grid", spin.ORTHO_TOL),
+        ("grid", 0.05),
+        ("pairs", spin.ORTHO_TOL),
+        ("pairs", 0.05),
+        ("table", spin.ORTHO_TOL),
+    ],
+)
+def test_each_worker_reuses_one_workspace(consumer, tol, threads, monkeypatch):
+    # a deterministic witness of the reuse the page-fault tests above see
+    # only through the allocator: one workspace per worker, and no take
+    # that replaces a buffer already big enough for the view asked for
+    made, replaced = [], []
+
+    class Counting(spin._Workspace):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+            self.largest = {}  # per buffer name, the largest view taken so far
+
+        def take(self, name, shape, dtype=np.float64):
+            view = super().take(name, shape, dtype)
+            held = self.largest.get(name)
+            if held is None or held.size < view.size:
+                self.largest[name] = view
+            elif view.size and not np.may_share_memory(view, held):
+                replaced.append(name)
+            return view
+
+    monkeypatch.setattr(spin, "_Workspace", Counting)
+    monkeypatch.setattr(spin, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(spin, "ORTHO_TOL", tol)
+    n = 5 * spin.BLOCK_TRIALS + 3  # six blocks, the last one short
+    if consumer == "table":
+        chsh.maximize_chsh("monte_carlo", chsh.OptimizerConfig(mc_trials=n, threads=threads))
+    else:
+        configs = STREAM_CONFIGS if tol == spin.ORTHO_TOL else REDRAW_CONFIGS
+        settings = configs["fair_coin_grid" if consumer == "grid" else "fair_coin_pairs"]
+        spin.correlation_curve(make_config(n_trials=n, **settings), threads=threads)
+    assert len(made) == threads
+    assert replaced == []
 
 
 def curve_peak(direction_pairs):
