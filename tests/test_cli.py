@@ -201,7 +201,7 @@ OUTPUT_SHA256 = [
     (["chsh", "--kind", "so3_saw"],
      "cf32f3f140dd876c2ee63d3ed37049fc6d1ef7317216712196ed31debaff3747"),
     (["torsion-check", "--n-points", "100"],
-     "5a2cb8aff4ce0d0aff47b1a921af424b25235fcb4679c4577c5069f8ceb94f26"),
+     "26e590b5704ef24cac66007dbebd7cd9a7415c189f926e5877954d9e38f7d5db"),
 ]
 
 

@@ -1,6 +1,7 @@
 """Tangent frames, the flat connection, and its curvature/torsion signature."""
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,6 +207,51 @@ def test_batched_stencil_matches_closed_form_jacobian_and_single_points():
     assert np.abs(grad - want).max() < 1e-9
     for index in np.ndindex(X.shape[:-1]):
         assert np.array_equal(grad[index], frames._gradient(frames._embed, X[index], h))
+
+
+def test_complex_jet_matches_closed_form_jacobian_and_single_points():
+    rng = np.random.Generator(np.random.Philox(key=71))
+    lo, hi = frames.COLLAR, np.pi - frames.COLLAR
+    X = np.stack(
+        [rng.uniform(lo, hi, 40), rng.uniform(lo, hi, 40), rng.uniform(0, 2 * np.pi, 40)],
+        axis=-1,
+    ).reshape(5, 8, 3)
+    value, jet = frames._complex_jet(frames._embed, X)
+    assert value.shape == (5, 8, 4) and jet.shape == (5, 8, 3, 4)
+    assert np.abs(value - frames._embed(X)).max() < 1e-15
+    want = np.moveaxis(embed_jacobian(X[..., 0], X[..., 1], X[..., 2]), (0, 1), (-2, -1))
+    assert np.abs(jet - want).max() < 1e-14
+    for index in np.ndindex(X.shape[:-1]):
+        single = frames._complex_jet(frames._embed, X[index])
+        assert np.array_equal(value[index], single[0]) and np.array_equal(jet[index], single[1])
+
+
+def test_curvature_evaluates_each_distinct_stencil_point_once(monkeypatch):
+    inputs = []
+    embed = geometry.embed_round
+
+    def recorded(chi, theta, phi):
+        inputs.append(np.stack([chi, theta, phi], axis=-1))
+        return embed(chi, theta, phi)
+
+    monkeypatch.setattr(frames, "embed_round", recorded)
+    h = 1e-4
+    frames.curvature_tensor(POINT, h)
+    assert len(inputs) == 1
+    points = inputs[0].real.reshape(-1, 3)
+    assert len(np.unique(points, axis=0)) == 73
+    # two nested five-point levels reach 2h + 2h along one axis
+    offsets = (points - POINT) / h
+    assert np.abs(offsets - np.rint(offsets)).max() < 1e-6
+    assert np.abs(np.rint(offsets)).max() == 4
+
+
+def test_round_metric_control_reads_one_at_the_bench_points(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    for point in workloads.chart_points(1, 0):
+        assert np.abs(frames.round_metric_sectional(point) - 1.0).max() < 1e-8
 
 
 def test_one_broadcast_call_per_derivative_level(monkeypatch):
