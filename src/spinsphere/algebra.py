@@ -180,10 +180,10 @@ def norm(x) -> float:
     return float(np.linalg.norm(x))
 
 
-def is_unit_rotor(q, tol: float = UNIT_TOL) -> bool:
+def is_unit_rotor(q) -> bool:
     q = np.asarray(q, float)
     odd = abs(q[1]) + abs(q[2]) + abs(q[3]) + abs(q[7])
-    return odd <= tol and abs(norm(q) - 1.0) <= tol
+    return odd <= UNIT_TOL and abs(norm(q) - 1.0) <= UNIT_TOL
 
 
 _IDENTITY = np.zeros(8)

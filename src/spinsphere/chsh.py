@@ -36,7 +36,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import algebra, spin
-from .errors import InvalidConfig, OptimizerBudgetExceeded
+from .errors import InvalidConfig
 from .geometry import dot, separation_angle, so3_distance
 from .spin import ExperimentConfig, raw_correlation
 from .spin import simulate_ensemble  # unused here; bench/layers.py wraps this binding
@@ -82,32 +82,23 @@ class ChshConfig:
     a_prime: np.ndarray
     b: np.ndarray
     b_prime: np.ndarray
-    correlation_kind: str = "su2_cosine"
 
     def __post_init__(self):
         for name in ("a", "a_prime", "b", "b_prime"):
             setattr(self, name, _check_unit(getattr(self, name), name))
-        if self.correlation_kind not in _KINDS:
-            raise InvalidConfig(f"unknown correlation_kind {self.correlation_kind!r}")
 
 
 @dataclass
 class BoundReport:
-    """Search outcome: the found maximum against the global bound.
-
-    stage is always "grid", the search's one stage.
-    """
+    """Search outcome: the found maximum, its directions and their grid angles."""
 
     chsh_value: float
-    rhs_bound: float
     directions: tuple
     angles_deg: tuple
-    stage: str = "grid"
 
 
 @dataclass
 class OptimizerConfig:
-    budget: int = 5_000_000
     seed: int = 2026
     mc_trials: int = 1_000_000
     threads: int = 1  # workers for the Monte Carlo table, as in spin.correlation_curve
@@ -200,20 +191,6 @@ def variance_rhs(a, a_prime, b, b_prime, trials=None) -> VarianceBound:
 # maximization
 
 
-class _Budget:
-    """Budget units: one per correlator value, whether it comes from a
-    single pair, an entry of a batched call or an entry of a count table."""
-
-    def __init__(self, limit: int):
-        self.limit = spin._integer("budget", limit, 1)
-        self.spent = 0
-
-    def spend(self, k: int = 1):
-        self.spent += k
-        if self.spent > self.limit:
-            raise OptimizerBudgetExceeded(f"exceeded {self.limit} budget units")
-
-
 def _coplanar_grid_max(table: np.ndarray):
     """Best |CHSH| over the integer grid, a fixed at index 0.
 
@@ -252,10 +229,10 @@ def maximize_chsh(
 
     Deterministic given the optimizer config, whose fields must be
     integers (spin._integer), all but seed at least 1, whatever the
-    kind.  The closed forms read only the budget: 360 units for the
-    table row and 4 for the string they report at the grid argmax.  The
-    Monte Carlo kind is charged one unit per table entry of an ensemble
-    seeded by cfg.seed, checked against all 360 grid directions and
+    kind.  The closed forms read no field and evaluate 364 correlator
+    values, 360 for the table row and 4 for the string at the grid
+    argmax.  The Monte Carlo kind fills the 360 x 360 table from an
+    ensemble seeded by cfg.seed, checked against all 360 directions and
     streamed block by block on cfg.threads workers (spin._planar_counts),
     so the report is the same bytes for any worker count.  Its value is
     forced by the local bound: the lowest tied grid string has
@@ -267,12 +244,10 @@ def maximize_chsh(
     if correlation_kind not in _KINDS:
         raise InvalidConfig(f"unknown correlation_kind {correlation_kind!r}")
     cfg = optimizer_config or OptimizerConfig()
-    budget = _Budget(cfg.budget)
     for name, minimum in (("seed", None), ("mc_trials", 1), ("threads", 1)):
         spin._integer(name, getattr(cfg, name), minimum)
 
     if correlation_kind == "monte_carlo":
-        budget.spend(_COUNT * _COUNT)
         # the draw's seed and modes fix the trials; the plane checks them against all of _GRID
         draw = ExperimentConfig(cfg.mc_trials, cfg.seed).validate()
         n = int(draw.n_trials)
@@ -280,11 +255,10 @@ def maximize_chsh(
         plane = spin._plane(_GRID, (0, 1), index[:, None], index[None, :])
         summed = spin._reduce_blocks(n, cfg.threads, spin._planar_counts, draw, plane)
         # sign(s.d_i) sign(-s.d_j) is +1 where the signs differ and -1 where they agree
-        table = 2 * plane.counts(summed)[:-2].reshape(_COUNT, _COUNT) - n
+        table = 2 * plane.counts(summed)[:-1].reshape(_COUNT, _COUNT) - n
     else:
         kinds = {"su2_cosine": su2_cosine_correlator, "so3_saw": so3_saw_correlator}
         correlator = kinds[correlation_kind]
-        budget.spend(_COUNT)
         # E between x-hat and each grid direction; the laws depend on the
         # separation angle only, so the table is the circulant
         # table[u, v] = relative[(v - u) % _COUNT], here a view
@@ -297,12 +271,10 @@ def maximize_chsh(
     if correlation_kind == "monte_carlo":
         value = grid_value / n  # |sum of per-trial strings| <= 2 n
     else:
-        budget.spend(4)
         value = abs(_string(correlator, *directions))
 
     return BoundReport(
         chsh_value=float(value),
-        rhs_bound=float(TSIRELSON_BOUND),
         directions=directions,
         angles_deg=tuple(np.degrees(_AZIMUTHS[[0, u, v, w]]).tolist()),
     )

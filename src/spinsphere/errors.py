@@ -48,7 +48,3 @@ class NonConvergentSequence(SpinsphereError):
         super().__init__(message)
         self.value = value
         self.is_scalar = is_scalar
-
-
-class OptimizerBudgetExceeded(SpinsphereError):
-    """Search exceeded its evaluation budget."""

@@ -172,8 +172,8 @@ def check_curvature_point(chart_point, h: float) -> np.ndarray:
     x = _check_point_step(chart_point, h)
     if _clearance(x) < COLLAR + 2 * h:
         raise ChartDegeneracy(
-            f"point {tuple(x.tolist())} is within the curvature stencil's reach "
-            f"2h = {2 * h} of the {COLLAR}-rad degeneracy collar"
+            f"point {tuple(x.tolist())} is within COLLAR + 2h = {COLLAR} + {2 * h} rad of a "
+            f"zero of sin chi or sin theta; curvature's stencils reach 4h and need that clearance"
         )
     return x
 

@@ -574,19 +574,14 @@ def spin_basis(lam: int):
     return basis
 
 
-def _lam_sums(lam: np.ndarray) -> list:
-    """The sums of lam and of lam * (-lam) over a block, as int64."""
-    return [lam.sum(dtype=np.int64), (lam * -lam).sum(dtype=np.int64)]
-
-
 def _block_counts(
     config: ExperimentConfig, directions, ia, ib, c: int, m: int, work: _Workspace
 ) -> np.ndarray:
     """Integer counts of block c: per pair, the trials whose signs at a and
-    b differ; then the sums of lam and of lam * (-lam).  The trials are
-    checked in one pass over the directions and counted in a second."""
+    b differ, then the sum of lam.  The trials are checked in one pass
+    over the directions and counted in a second."""
     raw, _, lam, _ = _checked_draw(config, directions, c, m, work)
-    return np.append(_differ(directions, ia, ib, raw, work), _lam_sums(lam))
+    return np.append(_differ(directions, ia, ib, raw, work), lam.sum(dtype=np.int64))
 
 
 class _Plane(NamedTuple):
@@ -621,7 +616,7 @@ class _Plane(NamedTuple):
 
     def counts(self, summed: np.ndarray) -> np.ndarray:
         """_block_counts' layout (differ per pair, in the broadcast's order,
-        then the lam sums) from summed _planar_counts."""
+        then the lam sum) from summed _planar_counts."""
         keys = len(self.keys)
         below, counted = summed[:keys], summed[keys]
         gap = self.theta[self.ib] - self.theta[self.ia]
@@ -669,7 +664,7 @@ def _plane(directions: np.ndarray, columns: tuple, ia, ib) -> _Plane:
 def _planar_counts(config: ExperimentConfig, plane: _Plane, c: int, m: int, work: _Workspace):
     """Integer counts of block c for directions in a plane, from sorted in-plane angles.
 
-    Returns F at plane's keys, the m trials F counts, then the lam sums;
+    Returns F at plane's keys, the m trials F counts, then the lam sum;
     _Plane.counts turns their sum over blocks into _block_counts'.
     Exact-path trials, within alpha of a key or short in the plane, get
     _checked_draw's redraw step, _check, against every direction of the
@@ -706,7 +701,7 @@ def _planar_counts(config: ExperimentConfig, plane: _Plane, c: int, m: int, work
         np.copyto(ordered, phi)
         ordered.sort()
     below = np.searchsorted(ordered, plane.keys) + plane.turns * m
-    return np.concatenate([below, [m], _lam_sums(lam)])
+    return np.concatenate([below, [m, lam.sum(dtype=np.int64)]])
 
 
 def _curve_rows(pairs, counts: np.ndarray, n: int):
@@ -715,8 +710,7 @@ def _curve_rows(pairs, counts: np.ndarray, n: int):
     No projection is zero, so sign(s.a) sign(-s.b) is +1 where the signs
     differ and -1 where they agree: S = 2 differ - n with all n nonzero.
     """
-    *differ, lam_sum, lam_product_sum = counts.tolist()
-    scalar_form = lam_product_sum / n
+    *differ, lam_sum = counts.tolist()
     stacked = np.array(pairs)
     eta = separation_angle(stacked[:, 0], stacked[:, 1])
     references = zip(su2_distance(eta).tolist(), so3_distance(eta).tolist())
@@ -732,7 +726,7 @@ def _curve_rows(pairs, counts: np.ndarray, n: int):
                 raw_stderr=raw_stderr,
                 standard_score_scalar=scalar,
                 standard_score_residual_bivector_norm=residual,
-                scalar_product_form=scalar_form,
+                scalar_product_form=-1.0,  # lam (-lam) = -1 for every trial
                 su2_reference=su2,
                 so3_reference=so3,
             )
@@ -811,8 +805,7 @@ def correlation_curve(config: ExperimentConfig, threads: int = 1):
     grouped, so the rows are the same bytes for any threads value and any
     worker count.  They equal raw_correlation and
     standard_score_correlation on simulate_ensemble(config) bit for bit,
-    and the scalar product form is computed once, from the whole
-    ensemble's counts.
+    and the scalar product form is scalar_product_correlation's -1.0.
     """
     config.validate()
     n = int(config.n_trials)

@@ -331,7 +331,7 @@ def test_stacked_torsion_keeps_its_own_collar():
     # inside the curvature stencil's reach but outside the collar: torsion only
     X = admissible_stack(3)
     X[1] = (frames.COLLAR + 1e-4, 1.2, 0.8)
-    with pytest.raises(ChartDegeneracy, match="within the curvature stencil's reach"):
+    with pytest.raises(ChartDegeneracy, match=r"within COLLAR \+ 2h = 0\.1 \+ 0\.0002 rad"):
         frames.curvature_tensor(X)
     torsion = frames.torsion_tensor(X).components
     assert np.array_equal(torsion[1], frames.torsion_tensor(X[1]).components)
