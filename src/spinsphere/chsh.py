@@ -228,24 +228,25 @@ def maximize_chsh(
     """Search for the largest |CHSH| under the named correlator, on the coplanar grid.
 
     Deterministic given the optimizer config, whose fields must be
-    integers (spin._integer), all but seed at least 1, whatever the
-    kind.  The closed forms read no field and evaluate 364 correlator
-    values, 360 for the table row and 4 for the string at the grid
-    argmax.  The Monte Carlo kind fills the 360 x 360 table from an
-    ensemble seeded by cfg.seed, checked against all 360 directions and
-    streamed block by block on cfg.threads workers (spin._planar_counts),
-    so the report is the same bytes for any worker count.  Its value is
-    forced by the local bound: the lowest tied grid string has
-    a = a' = x-hat, where every per-trial string is
-    2 sign(s.x) sign(-s.b) = +-2, and b = -x-hat makes all of them +2
+    integers (spin._integer) whatever the kind: seed and mc_trials in the
+    ranges of a config's seed and n_trials, threads at least 1.  The closed
+    forms read no field and evaluate 364 correlator values, 360 for the
+    table row and 4 for the string at the grid argmax.  The Monte Carlo
+    kind fills the 360 x 360 table from an ensemble seeded by cfg.seed,
+    checked against all 360 directions and streamed block by block on
+    cfg.threads workers (spin._planar_counts), so the report is the same
+    bytes for any worker count.  Its value is forced by the local bound:
+    the lowest tied grid string has a = a' = x-hat, where every per-trial
+    string is 2 sign(s.x) sign(-s.b) = +-2, and b = -x-hat makes all of them +2
     ((0, 0, 180, 0) at 1M trials on every seed tried), so neither the
     value, 2.0, nor the argmax depends on the ensemble.
     """
     if correlation_kind not in _KINDS:
         raise InvalidConfig(f"unknown correlation_kind {correlation_kind!r}")
     cfg = optimizer_config or OptimizerConfig()
-    for name, minimum in (("seed", None), ("mc_trials", 1), ("threads", 1)):
-        spin._integer(name, getattr(cfg, name), minimum)
+    spin._integer("seed", cfg.seed, 0, spin._MAX_SEED)
+    spin._integer("mc_trials", cfg.mc_trials, 1, spin._MAX_TRIALS)
+    spin._integer("threads", cfg.threads, 1)
 
     if correlation_kind == "monte_carlo":
         # the draw's seed and modes fix the trials; the plane checks them against all of _GRID

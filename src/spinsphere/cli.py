@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 argument or config problem, 2 I/O failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -96,21 +97,16 @@ def _load_experiment_config(path, seed_override) -> spin.ExperimentConfig:
         raise InvalidConfig(f"config is not valid JSON: {err}") from None
     if not isinstance(payload, dict):
         raise InvalidConfig("config must be a JSON object")
-    known = {"n_trials", "seed", "lambda_mode", "alignment_mode", "direction_pairs"}
-    unknown = set(payload) - known
+    fields = dataclasses.fields(spin.ExperimentConfig)
+    unknown = set(payload) - {field.name for field in fields}
     if unknown:
         raise InvalidConfig(f"unknown config fields {sorted(unknown)}")
-    try:
-        config = spin.ExperimentConfig(
-            n_trials=payload["n_trials"],
-            seed=payload["seed"] if seed_override is None else seed_override,
-            lambda_mode=payload.get("lambda_mode", "fair_coin"),
-            alignment_mode=payload.get("alignment_mode", "unit"),
-            direction_pairs=payload.get("direction_pairs"),
-        )
-    except KeyError as missing:
-        raise InvalidConfig(f"config missing field {missing}") from None
-    return config.validate()
+    if seed_override is not None:
+        payload["seed"] = seed_override
+    for field in fields:
+        if field.name not in payload and field.default is dataclasses.MISSING:
+            raise InvalidConfig(f"config missing field {field.name!r}")
+    return spin.ExperimentConfig(**payload).validate()
 
 
 def cmd_simulate(args) -> int:
@@ -146,8 +142,8 @@ def _torsion_points(args):
         if any(len(point) != 3 for point in payload):
             raise InvalidConfig("points must be [chi, theta, phi] triples")
         return [tuple(point) for point in payload]
-    seed = 20 if args.seed is None else args.seed
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    seed = spin._integer("seed", 20 if args.seed is None else args.seed, 0, spin._MAX_SEED)
+    rng = np.random.Generator(np.random.Philox(key=seed))
     lo, hi = frames.COLLAR, np.pi - frames.COLLAR
     points = []
     while len(points) < args.n_points:

@@ -2,8 +2,8 @@
 
 An ensemble of trials is generated: a spin axis s uniform on the unit
 sphere, a frame orientation lam = +-1, and an optional alignment radius
-r_a.  Three correlation statistics are computed side by side for a
-detector pair (a, b):
+r_a.  Three correlation statistics are computed side by side for each
+detector pair (a, b), every pair of a config's (n, 2, 3) array at once:
 
   * the raw sign-model estimator mean of sign(s.a) sign(-s.b) with
     sign(0) = 0 and its standard error from two counts (chsh uses it too),
@@ -20,8 +20,9 @@ Determinism contract: the ensemble is a sequence of blocks of
 BLOCK_TRIALS trials (the last one may be shorter).  Block c is drawn
 from its own counter-based stream, Philox(key=seed, counter=[0, 0, 0, c])
 (Salmon et al., SC'11), in a fixed order: axes, orientations, radii,
-then redraws.  A fixed seed therefore fixes every trial, and block 0 is
-the start of the plain Philox(key=seed) stream.  correlation_curve
+then redraws.  A fixed seed, a Philox key in [0, 2^128), therefore fixes
+every trial (n_trials is at most 2^53), and block 0 is the start of the
+plain Philox(key=seed) stream.  correlation_curve
 reduces each block to integer counts and adds them; integer addition is
 associative, so the result does not depend on how, or in which order,
 the blocks are grouped: the same bytes for any threads value and any
@@ -53,7 +54,7 @@ import numpy as np
 
 from . import algebra
 from .errors import DomainError, InvalidConfig, NonConvergentSequence, TooFewTrials
-from .geometry import separation_angle, so3_distance, su2_distance
+from .geometry import dot, separation_angle, so3_distance, su2_distance
 
 __all__ = [
     "ExperimentConfig",
@@ -88,6 +89,8 @@ BLOCK_TRIALS = 2**14  # even, so every balanced_exact block is balanced
 # on one OpenBLAS thread, so pooled workers do not oversubscribe the cores
 _SLICE_ROWS = 8
 MAX_GRID_ROWS = 1_000_000
+_MAX_TRIALS = 2**53
+_MAX_SEED = 2**128 - 1
 
 _LAMBDA_MODES = ("fair_coin", "balanced_exact")
 _ALIGNMENT_MODES = ("unit", "uniform_r")
@@ -118,18 +121,17 @@ def grid_degrees(start_deg: float, stop_deg: float, step_deg: float) -> np.ndarr
     return grid if len(grid) else np.array([float(start_deg)])
 
 
-def grid_pairs(start_deg: float, stop_deg: float, step_deg: float):
-    """Detector pairs for an angle grid: a = z-hat, b swept in the xz-plane."""
-    a = np.array([0.0, 0.0, 1.0])
+def grid_pairs(start_deg: float, stop_deg: float, step_deg: float) -> np.ndarray:
+    """Detector pairs (n, 2, 3) for an angle grid: a = z-hat, b swept in the xz-plane."""
     eta = np.radians(grid_degrees(start_deg, stop_deg, step_deg))
     b = np.stack([np.sin(eta), np.zeros_like(eta), np.cos(eta)], axis=1)
-    return [(a, row) for row in b]
+    return np.stack([np.broadcast_to([0.0, 0.0, 1.0], b.shape), b], axis=1)
 
 
-def _integer(name: str, value, minimum=None) -> int:
+def _integer(name: str, value, minimum=None, maximum=None) -> int:
     """value as an int: an int, a numpy integer or an integral float, never a
-    bool or a str (int() would truncate 2.7 and read True as 1), and at
-    least minimum when one is given; InvalidConfig otherwise."""
+    bool or a str (int() would truncate 2.7 and read True as 1), and within
+    the bounds that are given; InvalidConfig otherwise."""
     integral = isinstance(value, (int, np.integer)) or (
         isinstance(value, float) and value.is_integer()
     )
@@ -137,6 +139,8 @@ def _integer(name: str, value, minimum=None) -> int:
         raise InvalidConfig(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise InvalidConfig(f"{name} must be >= {minimum}")
+    if maximum is not None and value > maximum:
+        raise InvalidConfig(f"{name} must be <= {maximum}")
     return int(value)
 
 
@@ -181,33 +185,33 @@ class ExperimentConfig:
         grid = self._grid()
         if grid is not None:
             return grid_degrees(*grid).tolist()
-        pairs = np.array(self.resolved_pairs())
+        pairs = self.resolved_pairs()
         return np.degrees(separation_angle(pairs[:, 0], pairs[:, 1])).tolist()
 
-    def resolved_pairs(self):
+    def resolved_pairs(self) -> np.ndarray:
+        """The pairs as one (n, 2, 3) array: a grid spec's, or the explicit unit vectors."""
         grid = self._grid()
         if grid is not None:
             return grid_pairs(*grid)
-        spec = self.direction_pairs
         try:
-            pairs = [(np.asarray(a, float), np.asarray(b, float)) for a, b in spec]
+            pairs = np.asarray(self.direction_pairs, float)
         except (TypeError, ValueError):
             raise InvalidConfig("direction_pairs must list [a, b] pairs") from None
-        for a, b in pairs:
-            if a.shape != (3,) or b.shape != (3,):
-                raise InvalidConfig("direction pairs must be 3-vectors")
-            # written so that a NaN component fails it too
-            if not (abs(np.linalg.norm(a) - 1.0) <= 1e-9 and abs(np.linalg.norm(b) - 1.0) <= 1e-9):
-                raise InvalidConfig("direction pairs must be unit vectors")
-        if not pairs:
+        if not pairs.size:
             raise InvalidConfig("no direction pairs given")
+        if pairs.ndim != 3 or pairs.shape[1:] != (2, 3):
+            raise InvalidConfig("direction_pairs must list [a, b] pairs of 3-vectors")
+        # written so that a NaN component fails it too
+        if not (np.abs(np.linalg.norm(pairs, axis=2) - 1.0) <= 1e-9).all():
+            raise InvalidConfig("direction pairs must be unit vectors")
         return pairs
 
     def validate(self) -> "ExperimentConfig":
         """Refuse what the generator cannot run as given: n_trials and seed
-        must be integers (_integer), n_trials at least 1."""
-        _integer("n_trials", self.n_trials, 1)
-        _integer("seed", self.seed)
+        must be integers (_integer), n_trials in [1, 2^53], where 2 differ - n
+        is exact as a double, and seed a Philox key, in [0, 2^128)."""
+        _integer("n_trials", self.n_trials, 1, _MAX_TRIALS)
+        _integer("seed", self.seed, 0, _MAX_SEED)
         if self.lambda_mode not in _LAMBDA_MODES:
             raise InvalidConfig(f"unknown lambda_mode {self.lambda_mode!r}")
         if self.alignment_mode not in _ALIGNMENT_MODES:
@@ -248,9 +252,7 @@ class CorrelationResult:
 
 def _pair_directions(pairs):
     """The distinct directions of the pairs, and each pair's (a, b) rows in them."""
-    directions, inverse = np.unique(
-        np.stack([d for pair in pairs for d in pair]), axis=0, return_inverse=True
-    )
+    directions, inverse = np.unique(pairs.reshape(-1, 3), axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)
     return directions, inverse[0::2], inverse[1::2]
 
@@ -406,16 +408,17 @@ def _require_trials(n: int, minimum: int) -> None:
         raise TooFewTrials(f"need at least {minimum} trials, got {n}")
 
 
-def _sign_moments(total: int, nonzero: int, n: int):
-    """Mean and standard error of n products in {-1, 0, +1} from two counts.
+def _sign_moments(total, nonzero, n: int):
+    """Mean and standard error of n products in {-1, 0, +1} from two counts,
+    elementwise over arrays of counts.
 
     The products sum exactly to total and nonzero of them are +-1, so
     sum((x - mean)^2) = nonzero - total mean.
     """
-    total = float(total)
+    total = np.asarray(total, float)
     mean = total / n
-    spread = max(nonzero - total * mean, 0.0)
-    return mean, float(np.sqrt(spread / (n - 1)) / np.sqrt(n))
+    spread = np.maximum(nonzero - total * mean, 0.0)
+    return mean, np.sqrt(spread / (n - 1)) / np.sqrt(n)
 
 
 def raw_correlation(trials: TrialEnsemble, a, b):
@@ -424,7 +427,8 @@ def raw_correlation(trials: TrialEnsemble, a, b):
     products = np.sign(trials.s @ np.asarray(a, float)) * np.sign(
         -(trials.s @ np.asarray(b, float))
     )
-    return _sign_moments(products.sum(), np.count_nonzero(products), len(trials))
+    mean, stderr = _sign_moments(products.sum(), np.count_nonzero(products), len(trials))
+    return float(mean), float(stderr)
 
 
 def measurement_A(a, lam: int):
@@ -483,15 +487,16 @@ def standard_score_correlation(trials: TrialEnsemble, a, b):
     exactly zero.
     """
     _require_trials(len(trials), 1)
-    return _score_moments(a, b, int(trials.lam.sum(dtype=np.int64)), len(trials))
+    scalar, residual = _score_moments(a, b, int(trials.lam.sum(dtype=np.int64)), len(trials))
+    return scalar, float(residual)
 
 
 def _score_moments(a, b, lam_sum: int, n: int):
-    """(-a.b, |mean lam| |a x b|) for n trials whose orientations sum to lam_sum."""
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    residual_norm = abs(lam_sum / n) * float(np.linalg.norm(np.cross(a, b)))
-    return -float(np.dot(a, b)), residual_norm
+    """(-a.b, |mean lam| |a x b|) for n trials whose orientations sum to
+    lam_sum, over the last axis of stacked directions.  |c| is sqrt(c.c),
+    which is how np.linalg.norm rounds a single vector."""
+    c = np.cross(a, b)
+    return -dot(a, b), abs(lam_sum / n) * np.sqrt(dot(c, c))
 
 
 def scalar_product_correlation(trials: TrialEnsemble, a, b) -> float:
@@ -704,34 +709,25 @@ def _planar_counts(config: ExperimentConfig, plane: _Plane, c: int, m: int, work
     return np.concatenate([below, [m, lam.sum(dtype=np.int64)]])
 
 
-def _curve_rows(pairs, counts: np.ndarray, n: int):
-    """CorrelationResult per pair from the whole ensemble's summed counts.
+def _curve_rows(pairs: np.ndarray, counts: np.ndarray, n: int):
+    """CorrelationResult per pair from the whole ensemble's summed counts,
+    each column computed for every pair at once.
 
     No projection is zero, so sign(s.a) sign(-s.b) is +1 where the signs
     differ and -1 where they agree: S = 2 differ - n with all n nonzero.
+    The scalar product form is -1.0: lam (-lam) = -1 for every trial.
     """
-    *differ, lam_sum = counts.tolist()
-    stacked = np.array(pairs)
-    eta = separation_angle(stacked[:, 0], stacked[:, 1])
-    references = zip(su2_distance(eta).tolist(), so3_distance(eta).tolist())
-    rows = []
-    for (a, b), d, (su2, so3) in zip(pairs, differ, references):
-        raw_mc, raw_stderr = _sign_moments(2 * d - n, n, n)
-        scalar, residual = _score_moments(a, b, lam_sum, n)
-        rows.append(
-            CorrelationResult(
-                a=np.asarray(a, float),
-                b=np.asarray(b, float),
-                raw_mc=raw_mc,
-                raw_stderr=raw_stderr,
-                standard_score_scalar=scalar,
-                standard_score_residual_bivector_norm=residual,
-                scalar_product_form=-1.0,  # lam (-lam) = -1 for every trial
-                su2_reference=su2,
-                so3_reference=so3,
-            )
-        )
-    return rows
+    a, b = pairs[:, 0], pairs[:, 1]
+    eta = separation_angle(a, b)
+    columns = (
+        *_sign_moments(2 * counts[:-1] - n, n, n),
+        *_score_moments(a, b, int(counts[-1]), n),
+        np.full(len(pairs), -1.0),
+        su2_distance(eta),
+        so3_distance(eta),
+    )
+    rows = zip(*(column.tolist() for column in columns))
+    return [CorrelationResult(*pair, *row) for pair, row in zip(pairs, rows)]
 
 
 def _usable_cpus() -> int:

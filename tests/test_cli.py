@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from spinsphere import cli, geometry, oracle, spin
+from spinsphere.errors import InvalidConfig
 
 
 def run(argv):
@@ -562,6 +563,45 @@ def test_torsion_check_collar_surrounds_every_multiple_of_pi(tmp_path, capsys, p
     out = tmp_path / "t.json"
     assert run(["torsion-check", str(points), "--output", str(out)]) == 3
     assert "inside the 0.1-rad degeneracy collar" in capsys.readouterr().err
+    assert not out.exists()
+
+
+MALFORMED_PAIRS = {
+    "empty": [],
+    "lone_vector": [0.0, 0.0, 1.0],
+    "triple": [[[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]],
+    "two_vectors": [[[0.0, 1.0], [1.0, 0.0]]],
+    "four_vectors": [[[0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0]]],
+    "ragged": [[[0.0, 0.0, 1.0], [1.0, 0.0]]],
+    "nan": [[[float("nan"), 0.0, 0.0], [0.0, 0.0, 1.0]]],
+    "non_unit": [[[0.0, 0.0, 2.0], [1.0, 0.0, 0.0]]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_PAIRS))
+def test_malformed_direction_pairs_are_refused(tmp_path, capsys, name):
+    pairs = MALFORMED_PAIRS[name]
+    with pytest.raises(InvalidConfig):
+        spin.ExperimentConfig(n_trials=100, seed=1, direction_pairs=pairs).validate()
+    cfg = write_config(tmp_path / "cfg.json", direction_pairs=pairs)
+    out = tmp_path / "c.csv"
+    assert run(["simulate", str(cfg), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("spinsphere: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command", ["chsh --kind monte_carlo --seed -5", "torsion-check --seed -3", "simulate"]
+)
+def test_seeds_the_generator_refuses_exit_one(tmp_path, capsys, command):
+    # numpy's Philox refuses keys outside [0, 2^128) with its own text, mid-run
+    argv = command.split()
+    if command == "simulate":
+        argv.append(str(write_config(tmp_path / "cfg.json", n_trials=10, seed=-1)))
+    out = tmp_path / "out"
+    assert run([*argv, "--output", str(out)]) == 1
+    assert capsys.readouterr().err == "spinsphere: seed must be >= 0\n"
     assert not out.exists()
 
 

@@ -173,6 +173,48 @@ def test_config_takes_integral_floats_and_numpy_integers():
         assert got.s.tobytes() == want.s.tobytes() and got.lam.tobytes() == want.lam.tobytes()
 
 
+@pytest.mark.parametrize(
+    "seed", [-1, 2**128, -(2**200), 2.0**130], ids=["-1", "2^128", "-2^200", "2.0^130"]
+)
+def test_config_refuses_seeds_outside_the_philox_keys(seed):
+    # Philox takes keys in [0, 2^128); the run failed inside the draw with numpy's text
+    with pytest.raises(InvalidConfig, match="seed must be"):
+        make_config(seed=seed).validate()
+
+
+def test_config_takes_the_largest_philox_key():
+    trials = spin.simulate_ensemble(make_config(n_trials=10, seed=2**128 - 1))
+    assert len(trials) == 10
+
+
+@pytest.mark.parametrize("n_trials", [10**30, 2**53 + 1, 1e30], ids=["10^30", "2^53+1", "1e30"])
+def test_config_refuses_more_than_2_to_the_53_trials(n_trials):
+    # above 2^53 the row arithmetic 2 differ - n is no longer exact as a double;
+    # validate only: a run of this size would never end
+    with pytest.raises(InvalidConfig, match="n_trials must be <= 9007199254740992"):
+        make_config(n_trials=n_trials).validate()
+    with pytest.raises(InvalidConfig, match="mc_trials must be <= 9007199254740992"):
+        chsh.maximize_chsh("su2_cosine", chsh.OptimizerConfig(mc_trials=n_trials))
+
+
+def test_config_takes_2_to_the_53_trials():
+    assert make_config(n_trials=2**53).validate().n_trials == 2**53
+    assert make_config(n_trials=2.0**53).validate().n_trials == 2**53
+
+
+def test_stacked_score_moments_round_as_the_per_pair_formula():
+    rng = np.random.Generator(np.random.Philox(key=34))
+    a, b = (v / np.linalg.norm(v, axis=1, keepdims=True) for v in rng.normal(size=(2, 1000, 3)))
+    a = np.concatenate([a, [E3, E3, E1, [0.6, 0.0, 0.8]]])
+    b = np.concatenate([b, [E3, -E3, E2, [0.0, -0.8, 0.6]]])  # equal, antiparallel, orthogonal
+    lam_sum, n = -37, 1001
+    scalar, residual = spin._score_moments(a, b, lam_sum, n)
+    want_scalar = [-float(np.dot(x, y)) for x, y in zip(a, b)]
+    want_residual = [abs(lam_sum / n) * float(np.linalg.norm(np.cross(x, y))) for x, y in zip(a, b)]
+    assert scalar.tobytes() == np.array(want_scalar).tobytes()
+    assert residual.tobytes() == np.array(want_residual).tobytes()
+
+
 @pytest.mark.parametrize("pair", [([np.nan, 0.0, 0.0], E3), (E3, [0.0, np.nan, 1.0])])
 def test_config_rejects_nan_directions(pair):
     with pytest.raises(InvalidConfig, match="unit vectors"):
@@ -870,7 +912,7 @@ def test_pair_curve_memory_does_not_grow_with_pairs():
     # sign rows per pair, so its chunks shrink as the pairs grow, where packed
     # sign rows gathered per pair took 3 KiB per extra pair
     pairs = spin.grid_pairs(0.0, 45.0, 5.0)
-    assert (curve_peak(pairs * 100) - curve_peak(pairs)) / (1000 - 10) <= 1024
+    assert (curve_peak(np.concatenate([pairs] * 100)) - curve_peak(pairs)) / (1000 - 10) <= 1024
 
 
 def curve_bytes(rows):
